@@ -5,6 +5,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rocks_bench::{planner_database, planner_point_query, PLANNER_JOIN_QUERY};
 use rocks_db::insert_ethers::{register_frontend, DhcpRequest, InsertEthers};
 use rocks_db::{reports, ClusterDb};
+use rocks_sql::{PlannerConfig, PlannerMode};
 
 fn cluster_db(n: usize) -> ClusterDb {
     let mut db = ClusterDb::new();
@@ -60,27 +61,28 @@ fn bench_sql(c: &mut Criterion) {
 
 /// The PR-2 tentpole comparison: the planner's indexed point lookups and
 /// hash joins against the forced full-scan path, on a 10k-node database.
-/// `query_ref` is warmed first so the steady-state numbers reflect the
+/// `query` is warmed first so the steady-state numbers reflect the
 /// cached-plan fast path the generation service and insert-ethers hit.
 fn bench_planner(c: &mut Criterion) {
     let rows = 10_000usize;
     let db = planner_database(rows);
     let point = planner_point_query(rows);
-    db.query_ref(&point).unwrap();
-    db.query_ref(PLANNER_JOIN_QUERY).unwrap();
+    let scan = PlannerConfig { mode: PlannerMode::Scan, force_join: None };
+    db.query(&point).unwrap();
+    db.query(PLANNER_JOIN_QUERY).unwrap();
 
     let mut group = c.benchmark_group("sql_planner");
     group.bench_with_input(BenchmarkId::new("point_scan", rows), &rows, |b, _| {
-        b.iter(|| db.query_ref_scan(&point).unwrap())
+        b.iter(|| db.query_with(&point, &scan).unwrap())
     });
     group.bench_with_input(BenchmarkId::new("point_indexed", rows), &rows, |b, _| {
-        b.iter(|| db.query_ref(&point).unwrap())
+        b.iter(|| db.query(&point).unwrap())
     });
     group.bench_with_input(BenchmarkId::new("join_scan", rows), &rows, |b, _| {
-        b.iter(|| db.query_ref_scan(PLANNER_JOIN_QUERY).unwrap())
+        b.iter(|| db.query_with(PLANNER_JOIN_QUERY, &scan).unwrap())
     });
     group.bench_with_input(BenchmarkId::new("join_indexed", rows), &rows, |b, _| {
-        b.iter(|| db.query_ref(PLANNER_JOIN_QUERY).unwrap())
+        b.iter(|| db.query(PLANNER_JOIN_QUERY).unwrap())
     });
     group.finish();
 }

@@ -125,9 +125,7 @@ pub fn table2() -> String {
     let db = table2_db();
     let result = db
         .sql_ref()
-        .query_ref(
-            "select id, mac, name, membership, rack, rank, ip, comment from nodes order by id",
-        )
+        .query("select id, mac, name, membership, rack, rank, ip, comment from nodes order by id")
         .expect("nodes query");
     format!("Table II. The Nodes table in the cluster database\n{}", result.render_ascii())
 }
@@ -137,7 +135,7 @@ pub fn table3() -> String {
     let db = ClusterDb::new();
     let result = db
         .sql_ref()
-        .query_ref("select id, name, appliance, compute from memberships order by id")
+        .query("select id, name, appliance, compute from memberships order by id")
         .expect("memberships query");
     format!("Table III. The Memberships table\n{}", result.render_ascii())
 }
@@ -779,7 +777,7 @@ fn min_ns_per_call(iters: usize, reps: usize, mut f: impl FnMut()) -> f64 {
 
 /// EXPLAIN a query and return the rendered plan text.
 fn plan_text(db: &rocks_sql::Database, sql: &str) -> String {
-    let result = db.query_ref(&format!("explain {sql}")).expect("explain");
+    let result = db.query(&format!("explain {sql}")).expect("explain");
     result.rows.iter().map(|row| row[0].render()).collect::<Vec<_>>().join("\n")
 }
 
@@ -811,6 +809,7 @@ pub fn measure_sql_engine(rows: usize, reps: usize) -> SqlEngineSnapshot {
     let db = planner_database(rows);
     let point = planner_point_query(rows);
 
+    let scan_cfg = PlannerConfig { mode: PlannerMode::Scan, force_join: None };
     let cost_cfg = PlannerConfig::default();
     let heuristic_cfg = PlannerConfig { mode: PlannerMode::Heuristic, force_join: None };
     let hash_cfg = PlannerConfig { mode: PlannerMode::CostBased, force_join: Some(JoinAlgo::Hash) };
@@ -827,11 +826,11 @@ pub fn measure_sql_engine(rows: usize, reps: usize) -> SqlEngineSnapshot {
         ALGO_JOIN_QUERY,
         THREE_TABLE_QUERY,
     ] {
-        let scanned = db.query_ref_scan(sql).expect("scan path");
-        assert_eq!(db.query_ref(sql).expect("planned path"), scanned, "planned != scan: {sql}");
+        let scanned = db.query_with(sql, &scan_cfg).expect("scan path");
+        assert_eq!(db.query(sql).expect("planned path"), scanned, "planned != scan: {sql}");
         for cfg in [&heuristic_cfg, &hash_cfg, &merge_cfg] {
             assert_eq!(
-                db.query_ref_config(sql, cfg).expect("configured path"),
+                db.query_with(sql, cfg).expect("configured path"),
                 scanned,
                 "configured plan != scan: {sql}"
             );
@@ -844,38 +843,38 @@ pub fn measure_sql_engine(rows: usize, reps: usize) -> SqlEngineSnapshot {
     SqlEngineSnapshot {
         rows,
         point_scan_ns: min_ns_per_call(5, reps, || {
-            db.query_ref_scan(&point).expect("scanned point");
+            db.query_with(&point, &scan_cfg).expect("scanned point");
         }),
         point_indexed_ns: min_ns_per_call(200, reps, || {
-            db.query_ref(&point).expect("planned point");
+            db.query(&point).expect("planned point");
         }),
         point_cost_ns: min_ns_per_call(100, reps, || {
-            db.query_ref_config(&point, &cost_cfg).expect("cost point");
+            db.query_with(&point, &cost_cfg).expect("cost point");
         }),
         point_heuristic_ns: min_ns_per_call(100, reps, || {
-            db.query_ref_config(&point, &heuristic_cfg).expect("heuristic point");
+            db.query_with(&point, &heuristic_cfg).expect("heuristic point");
         }),
         join_scan_ns: min_ns_per_call(2, reps, || {
-            db.query_ref_scan(PLANNER_JOIN_QUERY).expect("scanned join");
+            db.query_with(PLANNER_JOIN_QUERY, &scan_cfg).expect("scanned join");
         }),
         join_indexed_ns: min_ns_per_call(20, reps, || {
-            db.query_ref(PLANNER_JOIN_QUERY).expect("planned join");
+            db.query(PLANNER_JOIN_QUERY).expect("planned join");
         }),
         crossover_rows: scan_index_crossover_rows(rows as f64),
         broad_plan: access_choice(&plan_text(&db, BROAD_ARCH_QUERY)),
         selective_plan: access_choice(&plan_text(&db, SELECTIVE_ARCH_QUERY)),
         algo_chosen: join_choice(&plan_text(&db, ALGO_JOIN_QUERY)),
         join_hash_ns: min_ns_per_call(2, reps, || {
-            db.query_ref_config(ALGO_JOIN_QUERY, &hash_cfg).expect("hash join");
+            db.query_with(ALGO_JOIN_QUERY, &hash_cfg).expect("hash join");
         }),
         join_merge_ns: min_ns_per_call(2, reps, || {
-            db.query_ref_config(ALGO_JOIN_QUERY, &merge_cfg).expect("merge join");
+            db.query_with(ALGO_JOIN_QUERY, &merge_cfg).expect("merge join");
         }),
         three_table_heuristic_ns: min_ns_per_call(2, reps, || {
-            db.query_ref_config(THREE_TABLE_QUERY, &heuristic_cfg).expect("heuristic 3-table");
+            db.query_with(THREE_TABLE_QUERY, &heuristic_cfg).expect("heuristic 3-table");
         }),
         three_table_cost_ns: min_ns_per_call(2, reps, || {
-            db.query_ref_config(THREE_TABLE_QUERY, &cost_cfg).expect("cost 3-table");
+            db.query_with(THREE_TABLE_QUERY, &cost_cfg).expect("cost 3-table");
         }),
     }
 }

@@ -382,20 +382,19 @@ impl Cluster {
         compute: bool,
     ) -> Result<i64> {
         // Appliance row: next free id in the appliances table.
-        let next_appliance = self.db.sql_ref().query_ref("select max(id) from appliances")?.rows[0]
-            [0]
-        .as_int()
-        .unwrap_or(0)
+        let next_appliance = self.db.sql_ref().query("select max(id) from appliances")?.rows[0][0]
+            .as_int()
+            .unwrap_or(0)
             + 1;
         self.db.execute_raw(&format!(
             "insert into appliances values ({next_appliance}, '{}', '{}')",
             rocks_db::sql_escape(membership_name),
             rocks_db::sql_escape(graph_root),
         ))?;
-        let next_membership = self.db.sql_ref().query_ref("select max(id) from memberships")?.rows
-            [0][0]
-            .as_int()
-            .unwrap_or(0)
+        let next_membership = self.db.sql_ref().query("select max(id) from memberships")?.rows[0]
+            [0]
+        .as_int()
+        .unwrap_or(0)
             + 1;
         self.db.add_membership(&rocks_db::Membership {
             id: next_membership,

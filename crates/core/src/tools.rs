@@ -31,7 +31,7 @@ pub fn cluster_fork(
 /// membership, per rack — the at-a-glance view administrators keep in a
 /// terminal. Rendered the way the `mysql` client would.
 pub fn cluster_status(cluster: &mut Cluster) -> Result<String> {
-    let by_membership = cluster.db.sql_ref().query_ref(
+    let by_membership = cluster.db.sql_ref().query(
         "select memberships.name, count(*) from nodes, memberships \
          where nodes.membership = memberships.id \
          group by memberships.name order by memberships.name",
@@ -39,7 +39,7 @@ pub fn cluster_status(cluster: &mut Cluster) -> Result<String> {
     let by_rack = cluster
         .db
         .sql_ref()
-        .query_ref("select rack, count(*) from nodes group by rack order by rack")?;
+        .query("select rack, count(*) from nodes group by rack order by rack")?;
     Ok(format!(
         "nodes by membership:\n{}\nnodes by rack:\n{}",
         by_membership.render_ascii(),

@@ -10,9 +10,9 @@
 
 use crate::cluster::Cluster;
 use crate::{Result, RocksError};
-use rocks_pbs::reinstall::roll_cluster;
-use rocks_pbs::PbsServer;
+use rocks_pbs::{run_rollout, standard_rollout_invariants, FixedInstall, PbsServer, RolloutConfig};
 use rocks_rpm::Repository;
+use rocks_trace::Tracer;
 
 /// What an upgrade did.
 #[derive(Debug, Clone)]
@@ -56,9 +56,7 @@ pub fn upgrade_cluster(
         .cloned()
         .ok_or_else(|| RocksError::ValidationFailed("cluster has no compute nodes".into()))?;
     let validation = cluster.shoot_nodes(std::slice::from_ref(&test_node))?;
-    if !cluster.inconsistent_nodes()?.is_empty()
-        && cluster.inconsistent_nodes()?.contains(&test_node)
-    {
+    if cluster.inconsistent_nodes()?.contains(&test_node) {
         return Err(RocksError::ValidationFailed(format!(
             "{test_node} still inconsistent after reinstall"
         )));
@@ -71,17 +69,37 @@ pub fn upgrade_cluster(
     for name in &remaining {
         pbs.add_node(name);
     }
+    // Jobs that cannot start right away stay queued; they are never
+    // cancelled, and start on reinstalled nodes once the roll frees them.
     for (job_name, nodes, walltime) in running_jobs {
-        let id = pbs.qsub(job_name, *nodes, *walltime)?;
+        pbs.qsub(job_name, *nodes, *walltime)?;
         rocks_pbs::scheduler::schedule(&mut pbs);
-        // Jobs that could not start right away stay queued and are
-        // simply cancelled by the roll model — the paper's scenario is
-        // about *running* applications.
-        let _ = id;
     }
-    // Reinstall duration per node from the validation measurement.
-    let reinstall_seconds = validation.total_minutes * 60.0;
-    let roll_seconds = roll_cluster(&mut pbs, reinstall_seconds)?;
+    // The reinstall-cluster job: drain every node at once and reinstall
+    // each as its jobs finish, one leg per node at the validated
+    // duration. `NoJobKilled` and the other invariants guard the roll.
+    let roll_seconds = if remaining.is_empty() {
+        0.0
+    } else {
+        let mut leg = FixedInstall { seconds: validation.total_minutes * 60.0, bytes: 0 };
+        let mut invariants = standard_rollout_invariants(f64::INFINITY);
+        let outcome = run_rollout(
+            &mut pbs,
+            &mut leg,
+            &RolloutConfig::mass(remaining.len()),
+            &[],
+            &[],
+            &mut invariants,
+            &Tracer::disabled(),
+        )?;
+        if let Some(v) = outcome.violations.first() {
+            return Err(RocksError::ValidationFailed(format!(
+                "rolling reinstall broke {}: {}",
+                v.invariant, v.detail
+            )));
+        }
+        outcome.report.makespan_seconds
+    };
 
     // Reflect the roll in the cluster's images.
     cluster.shoot_nodes(&remaining)?;
@@ -160,6 +178,16 @@ mod tests {
             report.roll_seconds,
             one
         );
+    }
+
+    #[test]
+    fn single_node_cluster_has_nothing_left_to_roll() {
+        // The only compute node is the validated test node.
+        let mut cluster = cluster_with_nodes(1);
+        let report = upgrade_cluster(&mut cluster, &security_update(), &[]).unwrap();
+        assert_eq!(report.nodes_rolled, 0);
+        assert_eq!(report.roll_seconds, 0.0);
+        assert!(cluster.inconsistent_nodes().unwrap().is_empty());
     }
 
     #[test]

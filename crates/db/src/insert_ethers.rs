@@ -240,7 +240,7 @@ mod tests {
         // The old MAC is gone; the new one answers.
         let rows = db
             .sql_ref()
-            .query_ref(&format!("select name from nodes where mac = '{}'", mac(1)))
+            .query(&format!("select name from nodes where mac = '{}'", mac(1)))
             .unwrap();
         assert!(rows.rows.is_empty());
     }

@@ -198,8 +198,8 @@ impl ClusterDb {
     }
 
     /// Execute one raw SQL write in whichever store backs this database,
-    /// bumping the revision. This is the mode-agnostic form of
-    /// [`sql`](Self::sql) for tools that issue statement text.
+    /// bumping the revision — the write path for tools that issue
+    /// statement text (the paper's raw-SQL administration interface).
     pub fn execute_raw(&mut self, sql: &str) -> Result<()> {
         self.exec(sql)
     }
@@ -292,30 +292,6 @@ impl ClusterDb {
         self.revision
     }
 
-    /// Raw SQL access — the paper deliberately exposes this to
-    /// administrators (`cluster-kill --query="select ..."`).
-    ///
-    /// Handing out `&mut Database` means any statement — including
-    /// writes — may run, so the revision is bumped conservatively. Use
-    /// [`sql_ref`](Self::sql_ref) for queries that must not invalidate
-    /// caches.
-    ///
-    /// # Panics
-    ///
-    /// In durable mode: statements that bypass the journal would be
-    /// silently lost on restart. Use [`execute_raw`](Self::execute_raw)
-    /// for writes and [`sql_ref`](Self::sql_ref) for queries instead.
-    pub fn sql(&mut self) -> &mut Database {
-        self.revision += 1;
-        match &mut self.store {
-            Store::Memory(db) => db,
-            Store::Durable(_) => panic!(
-                "ClusterDb::sql() bypasses the write-ahead log; durable mode requires \
-                 execute_raw() for writes or sql_ref() for queries"
-            ),
-        }
-    }
-
     /// Shared read-only SQL access: `SELECT` only, callable from any
     /// number of threads at once, never bumps the revision. This is the
     /// read path the parallel Kickstart generation workers use.
@@ -330,7 +306,7 @@ impl ClusterDb {
     /// contract of the `--query` flag in §6.4. Read-only — shareable
     /// across threads.
     pub fn query_names(&self, sql: &str) -> Result<Vec<String>> {
-        Ok(self.sql_ref().query_column_ref(sql)?)
+        Ok(self.sql_ref().query(sql)?.first_column())
     }
 
     /// Register a membership (appliance class) and return its id.
@@ -356,7 +332,7 @@ impl ClusterDb {
 
     /// Look up a membership by (case-insensitive) name. Read-only.
     pub fn membership_by_name(&self, name: &str) -> Result<Membership> {
-        let result = self.sql_ref().query_ref("select * from memberships")?;
+        let result = self.sql_ref().query("select * from memberships")?;
         result
             .rows
             .iter()
@@ -367,7 +343,7 @@ impl ClusterDb {
 
     /// All memberships, ordered by id. Read-only.
     pub fn memberships(&self) -> Result<Vec<Membership>> {
-        let result = self.sql_ref().query_ref("select * from memberships order by id")?;
+        let result = self.sql_ref().query("select * from memberships order by id")?;
         Ok(result.rows.iter().map(|r| Membership::from_row(r)).collect())
     }
 
@@ -397,7 +373,7 @@ impl ClusterDb {
 
     /// All nodes ordered by id. Read-only.
     pub fn nodes(&self) -> Result<Vec<NodeRecord>> {
-        let result = self.sql_ref().query_ref("select * from nodes order by id")?;
+        let result = self.sql_ref().query("select * from nodes order by id")?;
         Ok(result.rows.iter().map(|r| NodeRecord::from_row(r)).collect())
     }
 
@@ -440,7 +416,7 @@ impl ClusterDb {
     /// Nodes whose membership is flagged `compute = 'yes'` — the join the
     /// paper demonstrates (§6.4). Read-only.
     pub fn compute_nodes(&self) -> Result<Vec<NodeRecord>> {
-        let result = self.sql_ref().query_ref(
+        let result = self.sql_ref().query(
             "select nodes.id, nodes.mac, nodes.name, nodes.membership, nodes.rack, \
              nodes.rank, nodes.ip, nodes.comment \
              from nodes, memberships \
@@ -452,7 +428,7 @@ impl ClusterDb {
 
     /// Next unused node id. Read-only.
     pub fn next_node_id(&self) -> Result<i64> {
-        let result = self.sql_ref().query_ref("select max(id) from nodes")?;
+        let result = self.sql_ref().query("select max(id) from nodes")?;
         Ok(match result.rows[0][0] {
             Value::Int(n) => n + 1,
             _ => 1,
@@ -462,7 +438,7 @@ impl ClusterDb {
     /// Highest rank already used in `(membership, rack)`, or None.
     /// Read-only.
     pub fn max_rank(&self, membership: i64, rack: i64) -> Result<Option<i64>> {
-        let result = self.sql_ref().query_ref(&format!(
+        let result = self.sql_ref().query(&format!(
             "select max(rank) from nodes where membership = {membership} and rack = {rack}"
         ))?;
         Ok(result.rows[0][0].as_int())
@@ -511,7 +487,7 @@ impl ClusterDb {
 
     /// All IPs currently assigned. Read-only.
     pub fn used_ips(&self) -> Result<Vec<Ipv4>> {
-        let result = self.sql_ref().query_ref("select ip from nodes")?;
+        let result = self.sql_ref().query("select ip from nodes")?;
         Ok(result.rows.iter().filter_map(|r| r[0].as_text().and_then(Ipv4::parse)).collect())
     }
 
@@ -692,8 +668,8 @@ mod tests {
         .unwrap();
         let r2 = db.revision();
         assert!(r2 > r1);
-        // Raw &mut SQL access may write anything: bumped conservatively.
-        let _ = db.sql();
+        // Raw SQL writes bump it too.
+        db.execute_raw("update app_globals set value = 'w' where name = 'k'").unwrap();
         assert!(db.revision() > r2);
     }
 

@@ -26,7 +26,7 @@
 //! entry point: it shards the cluster's kickstartable nodes across a
 //! worker pool of OS threads. Every worker performs read-only SQL lookups
 //! against the *shared* `&ClusterDb` concurrently (see
-//! [`rocks_sql::Database::query_ref`]) and localizes a cached skeleton per
+//! [`rocks_sql::Database::query`]) and localizes a cached skeleton per
 //! node. Output is byte-identical to the sequential cold path.
 //!
 //! [`notify_dist_rebuilt`]: GenerationService::notify_dist_rebuilt
@@ -448,7 +448,7 @@ impl GenerationService {
     /// `threads = 1` degenerates to a sequential loop on the calling
     /// thread; larger values shard the node list across a worker pool of
     /// scoped OS threads, every worker reading the shared `db` through
-    /// the lock-free `query_ref` path.
+    /// the lock-free `Database::query` path.
     pub fn generate_all(
         &self,
         db: &ClusterDb,

@@ -96,8 +96,9 @@ pub trait InstallBackend {
     fn begin_install(&mut self, node: &str, concurrent: usize) -> InstallLeg;
 }
 
-/// Constant-cost backend matching [`crate::reinstall::roll_cluster`]'s
-/// model: every leg takes the same time regardless of concurrency.
+/// Constant-cost backend: every leg takes the same time regardless of
+/// concurrency. With [`RolloutConfig::mass`] it is the §5 upgrade's roll
+/// model (one leg per node, all at once, after each node's jobs finish).
 #[derive(Debug, Clone, Copy)]
 pub struct FixedInstall {
     /// Seconds per leg.
@@ -955,7 +956,6 @@ pub fn run_rollout_sweep(seeds: std::ops::Range<u64>) -> Vec<SeededViolation> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reinstall::roll_cluster;
     use crate::scheduler::schedule;
 
     fn server(n: usize) -> PbsServer {
@@ -1000,25 +1000,60 @@ mod tests {
 
     #[test]
     fn zero_job_rollout_matches_roll_cluster_mass_path() {
-        // Differential: with no competing jobs and full capacity, the
-        // orchestrator must reproduce the legacy mass path exactly —
-        // same node set, same per-node outcome, same end time.
+        // With no competing jobs and full capacity, every node installs
+        // at once: the whole roll takes exactly one leg, and every node
+        // is reinstalled with the same per-node outcome.
         let n = 8;
-        let mut legacy = server(n);
-        let legacy_end = roll_cluster(&mut legacy, 600.0).unwrap();
-
         let mut s = server(n);
         let out = run_simple(&mut s, &RolloutConfig::mass(n), &[], &[]);
         assert!(out.violations.is_empty(), "{:?}", out.violations);
-        assert!((out.report.makespan_seconds - legacy_end).abs() < 1e-6);
+        assert!((out.report.makespan_seconds - 600.0).abs() < 1e-6);
         let mut rolled = out.report.reinstalled.clone();
         rolled.sort();
-        assert_eq!(rolled, legacy.node_names());
+        assert_eq!(rolled, s.node_names());
         assert!(out
             .report
             .per_node_install_seconds
             .values()
             .all(|secs| (secs - 600.0).abs() < 1e-6));
+    }
+
+    #[test]
+    fn running_jobs_are_never_disturbed() {
+        // The §5 mass roll: the idle pair reinstalls at once, while a
+        // running job keeps its nodes until it finishes and they
+        // reinstall after it — 500 s of job + 600 s of leg. A drain
+        // deadline the job beats never fires.
+        for drain_timeout_s in [None, Some(800.0)] {
+            let mut s = server(4);
+            let job = s.qsub("science", 2, 500.0).unwrap();
+            schedule(&mut s);
+            let cfg = RolloutConfig { drain_timeout_s, ..RolloutConfig::mass(4) };
+            let out = run_simple(&mut s, &cfg, &[], &[]);
+            assert!(out.violations.is_empty(), "{:?}", out.violations);
+            assert!(matches!(s.job(job).unwrap().state, JobState::Done { .. }));
+            assert!((out.report.makespan_seconds - 1100.0).abs() < 1e-6, "{:?}", out.report);
+            let drains: Vec<f64> = out.report.per_node_drain_seconds.values().copied().collect();
+            assert_eq!(drains.iter().filter(|d| **d == 0.0).count(), 2, "{drains:?}");
+            assert_eq!(s.nodes_in_state(NodeState::Free).len(), 4);
+        }
+    }
+
+    #[test]
+    fn node_already_down_is_reinstalled_once() {
+        // Failed hardware: compute-0-3 is `Down` before the rollout
+        // starts. No job holds it, so it drains at once and the reinstall
+        // repairs it — with or without a drain deadline.
+        for drain_timeout_s in [None, Some(900.0)] {
+            let mut s = server(4);
+            s.set_node_state("compute-0-3", NodeState::Down).unwrap();
+            let cfg = RolloutConfig { drain_timeout_s, ..RolloutConfig::mass(4) };
+            let out = run_simple(&mut s, &cfg, &[], &[]);
+            assert!(out.violations.is_empty(), "{:?}", out.violations);
+            assert_eq!(out.report.install_counts["compute-0-3"], 1);
+            assert!((out.report.makespan_seconds - 600.0).abs() < 1e-6, "{:?}", out.report);
+            assert_eq!(s.nodes_in_state(NodeState::Free).len(), 4);
+        }
     }
 
     #[test]

@@ -128,7 +128,7 @@ impl ServeBackend for RealBackend<'_> {
     fn report(&mut self, key: usize) -> BackendResult {
         let sql = &self.queries[key % self.queries.len()];
         let hit = self.db.sql_ref().plan_cached(sql);
-        let result = self.db.sql_ref().query_ref(sql).expect("report query is valid");
+        let result = self.db.sql_ref().query(sql).expect("report query is valid");
         BackendResult { hit, body: Some(result.render_ascii()) }
     }
 

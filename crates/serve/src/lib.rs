@@ -23,7 +23,7 @@
 //!   shards* when the total pool size is held constant.
 //! - **Real responses** ([`backend::RealBackend`]): dispatched requests
 //!   drive the actual [`GenerationService::generate_for_request`] and
-//!   [`Database::query_ref`] paths, so the frontend's responses are
+//!   [`Database::query`] paths, so the frontend's responses are
 //!   byte-identical to direct calls (checked by the differential suite)
 //!   and the skeleton / plan caches see realistic churn.
 //! - **Load generation** ([`loadgen`]): open-loop (Poisson arrivals at a
@@ -39,7 +39,7 @@
 //!
 //! [`GenerationService`]: rocks_kickstart::GenerationService
 //! [`GenerationService::generate_for_request`]: rocks_kickstart::GenerationService::generate_for_request
-//! [`Database::query_ref`]: rocks_sql::Database::query_ref
+//! [`Database::query`]: rocks_sql::Database::query
 
 pub mod backend;
 pub mod config;

@@ -76,7 +76,7 @@ fn frontend_responses_match_direct_calls_byte_for_byte() {
             checked_installs += 1;
         } else {
             let sql = &queries[r.key % queries.len()];
-            let direct = db.sql_ref().query_ref(sql).unwrap();
+            let direct = db.sql_ref().query(sql).unwrap();
             assert_eq!(body, direct.render_ascii(), "report body diverged for {sql}");
             checked_reports += 1;
         }

@@ -277,8 +277,8 @@ impl DurableDatabase {
         &self.report
     }
 
-    /// Read-only view of the in-memory engine: `query_ref`,
-    /// `lookup_eq`, and friends.
+    /// Read-only view of the in-memory engine: `query`, `lookup_eq`,
+    /// and friends.
     pub fn reader(&self) -> &Database {
         &self.mem
     }
@@ -542,7 +542,7 @@ mod tests {
         let db2 = mkdb(&vfs);
         assert_eq!(db2.state_fingerprint(), fp);
         assert_eq!(db2.recovery_report().commits_replayed, 2);
-        let r = db2.reader().query_ref("select name from nodes where id = 2").unwrap();
+        let r = db2.reader().query("select name from nodes where id = 2").unwrap();
         assert_eq!(r.rows[0][0].as_text(), Some("compute-0-0"));
     }
 

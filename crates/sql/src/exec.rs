@@ -17,6 +17,13 @@ pub struct QueryResult {
 }
 
 impl QueryResult {
+    /// The first column of every row rendered as text. This is exactly
+    /// how `cluster-kill --query=...` consumes results (paper §6.4): a
+    /// list of node names.
+    pub fn first_column(&self) -> Vec<String> {
+        self.rows.iter().filter_map(|row| row.first()).map(Value::render).collect()
+    }
+
     /// Render an ASCII table in the style of the `mysql` client — used by
     /// the `reproduce` binary to print Tables II and III. Column widths
     /// are measured in characters, not bytes, so multi-byte UTF-8 values
@@ -116,7 +123,7 @@ pub fn execute(db: &mut Database, stmt: Statement) -> Result<ExecOutcome> {
             &group_by,
             &order_by,
             limit,
-            PlanChoice::Auto,
+            PlanChoice::Config(&PlannerConfig::default()),
         )
         .map(ExecOutcome::Rows),
         Statement::Update { table, sets, where_clause } => {
@@ -128,19 +135,11 @@ pub fn execute(db: &mut Database, stmt: Statement) -> Result<ExecOutcome> {
 }
 
 /// Execute a parsed statement against a shared (read-only) database
-/// reference. Only `SELECT` is possible without mutation; write
-/// statements are rejected. This is the entry point for the concurrent
-/// Kickstart-generation read path, where many worker threads query one
-/// database snapshot without locking each other out.
-pub fn execute_readonly(db: &Database, stmt: Statement) -> Result<QueryResult> {
-    execute_readonly_with(db, &stmt, PlanChoice::Auto)
-}
-
-/// Read-only execution with an explicit planning mode. `Prepared` carries
-/// a plan built at prepare time (`Database::query_ref`'s statement
-/// cache); `ForceScan` is the differential baseline used by
-/// `Database::query_ref_scan`, benchmarks, and the proptest suite.
-pub(crate) fn execute_readonly_with(
+/// reference. Only `SELECT` and `EXPLAIN` are possible without mutation;
+/// write statements are rejected. `Prepared` carries a plan built at
+/// prepare time (`Database::query`'s statement cache); `Config` plans now
+/// (`Database::query_with`, the oracle and benchmark path).
+pub(crate) fn read_only(
     db: &Database,
     stmt: &Statement,
     mode: PlanChoice<'_>,
@@ -159,14 +158,11 @@ pub(crate) fn execute_readonly_with(
 /// How `select` obtains its filtered row set.
 #[derive(Clone, Copy)]
 pub(crate) enum PlanChoice<'a> {
-    /// Plan now; fall back to the scan path when planning declines.
-    Auto,
-    /// Never plan — the naive scan baseline.
-    ForceScan,
     /// A plan (or a recorded planning refusal) from the statement cache.
     Prepared(Option<&'a SelectPlan>),
-    /// Plan now with an explicit planner configuration, bypassing the
-    /// statement cache (benchmark baselines and forced join algorithms).
+    /// Plan now with this configuration, falling back to the scan path
+    /// when planning declines ([`crate::PlannerMode::Scan`] always
+    /// declines).
     Config(&'a PlannerConfig),
 }
 
@@ -373,12 +369,8 @@ fn select(
     let mut used_index = false;
     let mut est_rows: Option<f64> = None;
     let mut joined: Vec<Vec<Value>> = match (where_clause, mode) {
-        (Some(expr), PlanChoice::Auto | PlanChoice::Config(_)) => {
-            let config = match mode {
-                PlanChoice::Config(c) => *c,
-                _ => PlannerConfig::default(),
-            };
-            match plan::plan_select_with(&tables, expr, &config) {
+        (Some(expr), PlanChoice::Config(config)) => {
+            match plan::plan_select_with(&tables, expr, config) {
                 Some((p, info)) => {
                     db.stats().record_planning(&info, p.reordered);
                     used_index = p.uses_index();
@@ -771,6 +763,9 @@ fn delete(db: &mut Database, table: &str, where_clause: Option<&Expr>) -> Result
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::PlannerMode;
+
+    const SCAN: PlannerConfig = PlannerConfig { mode: PlannerMode::Scan, force_join: None };
 
     fn sample_db() -> Database {
         let mut db = Database::new();
@@ -801,26 +796,27 @@ mod tests {
 
     #[test]
     fn where_filters_rows() {
-        let mut db = sample_db();
-        let names = db.query_column("select name from nodes where rack=1").unwrap();
+        let db = sample_db();
+        let names = db.query("select name from nodes where rack=1").unwrap().first_column();
         assert_eq!(names, vec!["web-1-0"]);
     }
 
     #[test]
     fn join_with_membership() {
-        let mut db = sample_db();
+        let db = sample_db();
         let names = db
-            .query_column(
+            .query(
                 "select nodes.name from nodes,memberships where \
                  nodes.membership = memberships.id and memberships.compute = 'yes'",
             )
-            .unwrap();
+            .unwrap()
+            .first_column();
         assert_eq!(names, vec!["compute-0-0", "compute-0-1", "compute-0-2"]);
     }
 
     #[test]
     fn wildcard_projection_and_labels() {
-        let mut db = sample_db();
+        let db = sample_db();
         let result = db.query("select * from memberships where id = 1").unwrap();
         assert_eq!(result.columns, vec!["id", "name", "appliance", "compute"]);
         assert_eq!(result.rows.len(), 1);
@@ -833,7 +829,7 @@ mod tests {
 
     #[test]
     fn ambiguous_column_is_an_error() {
-        let mut db = sample_db();
+        let db = sample_db();
         let err = db
             .query("select name from nodes, memberships where nodes.membership = memberships.id")
             .unwrap_err();
@@ -845,7 +841,7 @@ mod tests {
 
     #[test]
     fn order_by_multi_key() {
-        let mut db = sample_db();
+        let db = sample_db();
         let result =
             db.query("select name from nodes where membership = 2 order by rank desc").unwrap();
         let names: Vec<_> = result.rows.iter().map(|r| r[0].render()).collect();
@@ -854,14 +850,14 @@ mod tests {
 
     #[test]
     fn limit_truncates() {
-        let mut db = sample_db();
+        let db = sample_db();
         let result = db.query("select name from nodes order by id limit 2").unwrap();
         assert_eq!(result.rows.len(), 2);
     }
 
     #[test]
     fn aggregates_count_min_max() {
-        let mut db = sample_db();
+        let db = sample_db();
         let result = db
             .query("select count(*), min(rank), max(rank) from nodes where membership = 2")
             .unwrap();
@@ -870,14 +866,14 @@ mod tests {
 
     #[test]
     fn aggregates_on_empty_set() {
-        let mut db = sample_db();
+        let db = sample_db();
         let result = db.query("select count(*), max(rank) from nodes where rack = 99").unwrap();
         assert_eq!(result.rows[0], vec![Value::Int(0), Value::Null]);
     }
 
     #[test]
     fn group_by_counts_per_rack() {
-        let mut db = sample_db();
+        let db = sample_db();
         let result =
             db.query("select rack, count(*) from nodes group by rack order by rack").unwrap();
         assert_eq!(result.columns, vec!["rack", "count(*)"]);
@@ -889,7 +885,7 @@ mod tests {
 
     #[test]
     fn group_by_with_min_max_sum() {
-        let mut db = sample_db();
+        let db = sample_db();
         let result = db
             .query(
                 "select membership, count(*), min(rank), max(rank), sum(rank)                  from nodes group by membership order by membership",
@@ -905,7 +901,7 @@ mod tests {
 
     #[test]
     fn group_by_join_counts_by_membership_name() {
-        let mut db = sample_db();
+        let db = sample_db();
         let result = db
             .query(
                 "select memberships.name, count(*) from nodes, memberships                  where nodes.membership = memberships.id                  group by memberships.name order by memberships.name",
@@ -919,7 +915,7 @@ mod tests {
 
     #[test]
     fn ungrouped_column_with_aggregate_is_rejected() {
-        let mut db = sample_db();
+        let db = sample_db();
         let err = db.query("select name, count(*) from nodes").unwrap_err();
         assert!(matches!(err, SqlError::Unsupported(_)));
         let err = db.query("select name, count(*) from nodes group by rack").unwrap_err();
@@ -950,30 +946,40 @@ mod tests {
 
     #[test]
     fn like_and_in_predicates() {
-        let mut db = sample_db();
-        let names = db.query_column("select name from nodes where name like 'compute-%'").unwrap();
-        assert_eq!(names.len(), 3);
+        let db = sample_db();
         let names =
-            db.query_column("select name from nodes where id in (1, 8) order by id").unwrap();
+            db.query("select name from nodes where name like 'compute-%'").unwrap().first_column();
+        assert_eq!(names.len(), 3);
+        let names = db
+            .query("select name from nodes where id in (1, 8) order by id")
+            .unwrap()
+            .first_column();
         assert_eq!(names, vec!["frontend-0", "web-1-0"]);
         let names = db
-            .query_column(
+            .query(
                 "select name from nodes where name not like 'compute-%' and rack = 0 order by id",
             )
-            .unwrap();
+            .unwrap()
+            .first_column();
         assert_eq!(names, vec!["frontend-0", "network-0-0"]);
     }
 
     #[test]
     fn null_semantics() {
-        let mut db = sample_db();
+        let db = sample_db();
         // comment = NULL row never matches equality...
-        let n = db.query_column("select name from nodes where comment = 'Compute node'").unwrap();
+        let n = db
+            .query("select name from nodes where comment = 'Compute node'")
+            .unwrap()
+            .first_column();
         assert_eq!(n.len(), 2);
         // ...but IS NULL finds it.
-        let n = db.query_column("select name from nodes where comment is null").unwrap();
+        let n = db.query("select name from nodes where comment is null").unwrap().first_column();
         assert_eq!(n, vec!["compute-0-2"]);
-        let n = db.query_column("select count(*) from nodes where comment is not null").unwrap();
+        let n = db
+            .query("select count(*) from nodes where comment is not null")
+            .unwrap()
+            .first_column();
         assert_eq!(n, vec!["5"]);
     }
 
@@ -982,7 +988,7 @@ mod tests {
         let mut db = sample_db();
         let outcome = db.execute("update nodes set rack = 7 where membership = 2").unwrap();
         assert_eq!(outcome, ExecOutcome::Written { affected: 3 });
-        let n = db.query_column("select count(*) from nodes where rack = 7").unwrap();
+        let n = db.query("select count(*) from nodes where rack = 7").unwrap().first_column();
         assert_eq!(n, vec!["3"]);
     }
 
@@ -990,7 +996,7 @@ mod tests {
     fn update_set_from_column() {
         let mut db = sample_db();
         db.execute("update nodes set rank = id where name = 'web-1-0'").unwrap();
-        let v = db.query_column("select rank from nodes where name = 'web-1-0'").unwrap();
+        let v = db.query("select rank from nodes where name = 'web-1-0'").unwrap().first_column();
         assert_eq!(v, vec!["8"]);
     }
 
@@ -1022,7 +1028,7 @@ mod tests {
 
     #[test]
     fn render_ascii_looks_like_mysql() {
-        let mut db = sample_db();
+        let db = sample_db();
         let result = db.query("select id, name from memberships order by id limit 2").unwrap();
         let text = result.render_ascii();
         assert!(text.starts_with("+"));
@@ -1032,7 +1038,7 @@ mod tests {
 
     #[test]
     fn unknown_table_and_column_errors() {
-        let mut db = sample_db();
+        let db = sample_db();
         assert!(matches!(db.query("select x from ghost"), Err(SqlError::NoSuchTable(_))));
         assert!(matches!(db.query("select ghost from nodes"), Err(SqlError::NoSuchColumn(_))));
     }
@@ -1060,8 +1066,8 @@ mod tests {
              memberships.id = nodes.membership and nodes.rank = memberships.appliance",
         ] {
             assert_eq!(
-                db.query_ref(sql).unwrap(),
-                db.query_ref_scan(sql).unwrap(),
+                db.query(sql).unwrap(),
+                db.query_with(sql, &SCAN).unwrap(),
                 "planned result diverged for {sql}"
             );
         }
@@ -1076,8 +1082,8 @@ mod tests {
             "select name from ghost where x = 1",                   // no such table
         ] {
             assert_eq!(
-                db.query_ref(sql).unwrap_err(),
-                db.query_ref_scan(sql).unwrap_err(),
+                db.query(sql).unwrap_err(),
+                db.query_with(sql, &SCAN).unwrap_err(),
                 "planned error diverged for {sql}"
             );
         }
@@ -1086,7 +1092,7 @@ mod tests {
     #[test]
     fn point_lookup_touches_only_candidates_via_index() {
         let db = sample_db();
-        let r = db.query_ref("select name from nodes where ip = '10.1.1.1'").unwrap();
+        let r = db.query("select name from nodes where ip = '10.1.1.1'").unwrap();
         assert_eq!(r.rows, vec![vec![Value::Text("frontend-0".into())]]);
         // The probe built an index on nodes.ip.
         assert!(db.table("nodes").unwrap().indexed_columns() >= 1);
@@ -1094,7 +1100,7 @@ mod tests {
 
     #[test]
     fn explain_point_query_shows_index() {
-        let mut db = sample_db();
+        let db = sample_db();
         let r = db.query("explain select name from nodes where ip = '10.1.1.1'").unwrap();
         assert_eq!(r.columns, vec!["plan"]);
         let text: Vec<String> = r.rows.iter().map(|row| row[0].render()).collect();
@@ -1103,7 +1109,7 @@ mod tests {
 
     #[test]
     fn explain_join_shows_hash_join_and_pushdown() {
-        let mut db = sample_db();
+        let db = sample_db();
         let r = db
             .query(
                 "explain select nodes.name from nodes, memberships where \
@@ -1127,7 +1133,7 @@ mod tests {
 
     #[test]
     fn explain_fallback_mentions_cross_product() {
-        let mut db = sample_db();
+        let db = sample_db();
         // `name` is ambiguous across the two tables: planning declines.
         let r =
             db.query("explain select nodes.name from nodes, memberships where name = 'x'").unwrap();
@@ -1145,7 +1151,7 @@ mod tests {
     #[test]
     fn explain_runs_readonly() {
         let db = sample_db();
-        let r = db.query_ref("explain select * from nodes where id = 1").unwrap();
+        let r = db.query("explain select * from nodes where id = 1").unwrap();
         assert!(!r.rows.is_empty());
     }
 
@@ -1189,16 +1195,16 @@ mod tests {
     fn index_stays_correct_across_writes() {
         let mut db = sample_db();
         // Build the index via a read...
-        let _ = db.query_ref("select name from nodes where membership = 2").unwrap();
+        let _ = db.query("select name from nodes where membership = 2").unwrap();
         // ...then mutate through every write path and re-compare.
         db.execute("insert into nodes values (9, 'compute-1-0', 2, 1, 0, '10.9.9.9', NULL)")
             .unwrap();
         let sql = "select name from nodes where membership = 2 order by id";
-        assert_eq!(db.query_ref(sql).unwrap(), db.query_ref_scan(sql).unwrap());
+        assert_eq!(db.query(sql).unwrap(), db.query_with(sql, &SCAN).unwrap());
         db.execute("update nodes set membership = 8 where name = 'compute-0-1'").unwrap();
-        assert_eq!(db.query_ref(sql).unwrap(), db.query_ref_scan(sql).unwrap());
+        assert_eq!(db.query(sql).unwrap(), db.query_with(sql, &SCAN).unwrap());
         db.execute("delete from nodes where membership = 8").unwrap();
-        assert_eq!(db.query_ref(sql).unwrap(), db.query_ref_scan(sql).unwrap());
+        assert_eq!(db.query(sql).unwrap(), db.query_with(sql, &SCAN).unwrap());
     }
 
     #[test]
@@ -1219,8 +1225,8 @@ mod tests {
             "select id from t where tag = NULL",
         ] {
             assert_eq!(
-                db.query_ref(sql).unwrap(),
-                db.query_ref_scan(sql).unwrap(),
+                db.query(sql).unwrap(),
+                db.query_with(sql, &SCAN).unwrap(),
                 "coercion diverged for {sql}"
             );
         }

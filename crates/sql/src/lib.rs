@@ -115,7 +115,7 @@ impl std::error::Error for SqlError {}
 pub type Result<T> = std::result::Result<T, SqlError>;
 
 /// A parsed-and-planned statement held by the cache behind
-/// [`Database::query_ref`]: parse once, plan once, execute many.
+/// [`Database::query`]: parse once, plan once, execute many.
 #[derive(Debug)]
 struct Prepared {
     stmt: Statement,
@@ -132,7 +132,7 @@ struct Prepared {
 const PLAN_CACHE_CAP: usize = 512;
 
 /// Interior-mutable statement cache. Lives behind a `Mutex` so the
-/// read-only [`Database::query_ref`] path can fill it concurrently; the
+/// read-only [`Database::query`] path can fill it concurrently; the
 /// lock is held only for lookup/insert, never during parse or execution.
 #[derive(Debug, Default)]
 struct PlanCache {
@@ -198,7 +198,7 @@ impl QueryStats {
         &self.registry
     }
 
-    /// Cached-plan lookups that hit (`Database::query_ref`).
+    /// Cached-plan lookups that hit (`Database::query`).
     pub fn plan_cache_hits(&self) -> u64 {
         self.plan_cache_hits.get()
     }
@@ -327,61 +327,30 @@ impl Database {
         exec::execute(self, stmt)
     }
 
-    /// Execute a statement expected to produce rows (a `SELECT`); errors
-    /// if the statement was a write.
-    pub fn query(&mut self, sql: &str) -> Result<QueryResult> {
-        match self.execute(sql)? {
-            ExecOutcome::Rows(result) => Ok(result),
-            ExecOutcome::Written { .. } => {
-                Err(SqlError::Unsupported("statement did not return rows".into()))
-            }
-        }
-    }
-
-    /// Convenience: run a query and return the first column of every row
-    /// rendered as text. This is exactly how `cluster-kill --query=...`
-    /// consumes results (paper §6.4): a list of node names.
-    pub fn query_column(&mut self, sql: &str) -> Result<Vec<String>> {
-        let result = self.query(sql)?;
-        Ok(result.rows.iter().filter_map(|row| row.first()).map(|v| v.render()).collect())
-    }
-
-    /// Run a `SELECT` against a shared reference. Because nothing is
-    /// mutated, any number of threads may call this concurrently on one
-    /// database — the read path of the parallel Kickstart generation
-    /// service. Write statements are rejected.
+    /// Run a `SELECT` (or `EXPLAIN`) against a shared reference; write
+    /// statements are rejected. Because nothing is mutated, any number of
+    /// threads may call this concurrently on one database — the read path
+    /// of the parallel Kickstart generation service.
     ///
     /// Statements are parsed and planned once, then cached by SQL text:
     /// repeated queries (the per-node lookups of a mass reinstall) skip
     /// straight to execution against hash indexes. The cache is flushed
     /// whenever the schema generation changes and is capped at
     /// [`PLAN_CACHE_CAP`] entries.
-    pub fn query_ref(&self, sql: &str) -> Result<QueryResult> {
+    pub fn query(&self, sql: &str) -> Result<QueryResult> {
         let prepared = self.prepare(sql)?;
-        exec::execute_readonly_with(
-            self,
-            &prepared.stmt,
-            exec::PlanChoice::Prepared(prepared.plan.as_ref()),
-        )
+        exec::read_only(self, &prepared.stmt, exec::PlanChoice::Prepared(prepared.plan.as_ref()))
     }
 
-    /// [`query_ref`](Self::query_ref) with the planner disabled: parse
-    /// and run the naive scan path. This is the differential baseline the
+    /// [`query`](Self::query) with an explicit planner configuration —
+    /// the forced scan ([`PlannerMode::Scan`]), the heuristic baseline or
+    /// a forced join algorithm. Parses and plans on every call and
+    /// bypasses the statement cache: this is the differential oracle the
     /// planner is verified against (see `tests/proptest_plan.rs`) and the
-    /// "before" side of the benchmark suite.
-    pub fn query_ref_scan(&self, sql: &str) -> Result<QueryResult> {
+    /// benchmark's measurement path, not a fast path.
+    pub fn query_with(&self, sql: &str, config: &PlannerConfig) -> Result<QueryResult> {
         let stmt = parser::parse(sql)?;
-        exec::execute_readonly_with(self, &stmt, exec::PlanChoice::ForceScan)
-    }
-
-    /// [`query_ref`](Self::query_ref) with an explicit planner
-    /// configuration — the heuristic baseline or a forced join
-    /// algorithm. Parses and plans on every call and bypasses the
-    /// statement cache: this is the benchmark's measurement path, not a
-    /// fast path.
-    pub fn query_ref_config(&self, sql: &str, config: &PlannerConfig) -> Result<QueryResult> {
-        let stmt = parser::parse(sql)?;
-        exec::execute_readonly_with(self, &stmt, exec::PlanChoice::Config(config))
+        exec::read_only(self, &stmt, exec::PlanChoice::Config(config))
     }
 
     /// Hash of every table's name and size *band* (power-of-two bucket
@@ -456,7 +425,7 @@ impl Database {
         self.cache.lock().expect("plan cache lock").entries.len()
     }
 
-    /// Would [`query_ref`](Self::query_ref) for this exact SQL text skip
+    /// Would [`query`](Self::query) for this exact SQL text skip
     /// planning right now? A pure probe: no counters move, the cache is
     /// neither flushed nor populated. A cached entry only counts as warm
     /// if the whole cache is still valid (same schema generation and
@@ -509,13 +478,6 @@ impl Database {
             .collect();
         self.stats.rows_returned.add(rows.len() as u64);
         Ok(QueryResult { columns: t.columns().iter().map(|c| c.name.clone()).collect(), rows })
-    }
-
-    /// [`query_ref`](Self::query_ref) returning the first column rendered
-    /// as text — the read-only twin of [`query_column`](Self::query_column).
-    pub fn query_column_ref(&self, sql: &str) -> Result<Vec<String>> {
-        let result = self.query_ref(sql)?;
-        Ok(result.rows.iter().filter_map(|row| row.first()).map(|v| v.render()).collect())
     }
 
     /// Look up a table by (case-insensitive) name.
@@ -572,6 +534,8 @@ impl Database {
 mod tests {
     use super::*;
 
+    const SCAN: PlannerConfig = PlannerConfig { mode: PlannerMode::Scan, force_join: None };
+
     #[test]
     fn end_to_end_paper_join() {
         let mut db = Database::new();
@@ -586,16 +550,18 @@ mod tests {
 
         // The exact query from §6.4's cluster-kill example.
         let names = db
-            .query_column(
+            .query(
                 "select nodes.name from nodes,memberships where \
                  nodes.membership = memberships.id and \
                  memberships.name = 'Compute'",
             )
-            .unwrap();
+            .unwrap()
+            .first_column();
         assert_eq!(names, vec!["compute-0-0", "compute-0-1"]);
 
         // And the simpler rack-targeted form.
-        let names = db.query_column("select name from nodes where rack=0 and rank=1").unwrap();
+        let names =
+            db.query("select name from nodes where rack=0 and rank=1").unwrap().first_column();
         assert_eq!(names, vec!["compute-0-1"]);
     }
 
@@ -620,17 +586,17 @@ mod tests {
     }
 
     #[test]
-    fn query_ref_caches_statements() {
+    fn query_caches_statements() {
         let db = two_table_db();
         assert_eq!(db.prepared_statements(), 0);
         let sql = "select name from nodes where ip = '10.1.1.2'";
-        let first = db.query_ref(sql).unwrap();
+        let first = db.query(sql).unwrap();
         assert_eq!(db.prepared_statements(), 1);
-        let second = db.query_ref(sql).unwrap();
+        let second = db.query(sql).unwrap();
         assert_eq!(db.prepared_statements(), 1, "second run must hit the cache");
         assert_eq!(first, second);
         // A different statement adds an entry.
-        db.query_ref("select id from memberships where name = 'Compute'").unwrap();
+        db.query("select id from memberships where name = 'Compute'").unwrap();
         assert_eq!(db.prepared_statements(), 2);
     }
 
@@ -641,7 +607,7 @@ mod tests {
         assert!(!db.plan_cached(sql), "cold cache");
         assert_eq!(db.prepared_statements(), 0, "probe must not populate");
 
-        db.query_ref(sql).unwrap();
+        db.query(sql).unwrap();
         assert!(db.plan_cached(sql));
         let hits = db.stats().plan_cache_hits();
         let misses = db.stats().plan_cache_misses();
@@ -656,19 +622,19 @@ mod tests {
         db.execute("create table extra (x int)").unwrap();
         assert!(!db.plan_cached(sql));
         assert_eq!(db.prepared_statements(), 1, "probe must not flush");
-        db.query_ref(sql).unwrap();
+        db.query(sql).unwrap();
         assert!(db.plan_cached(sql), "re-prepared after the flush");
     }
 
     #[test]
     fn schema_change_flushes_plan_cache() {
         let mut db = two_table_db();
-        db.query_ref("select name from nodes where id = 1").unwrap();
+        db.query("select name from nodes where id = 1").unwrap();
         assert_eq!(db.prepared_statements(), 1);
         db.execute("create table extra (x int)").unwrap();
         // The stale entry is discarded on next use, and the query still
         // answers correctly against the new schema generation.
-        let r = db.query_ref("select name from nodes where id = 1").unwrap();
+        let r = db.query("select name from nodes where id = 1").unwrap();
         assert_eq!(r.rows[0][0].as_text(), Some("frontend-0"));
         assert_eq!(db.prepared_statements(), 1);
     }
@@ -677,29 +643,29 @@ mod tests {
     fn cached_plan_survives_row_changes() {
         let mut db = two_table_db();
         let sql = "select name from nodes where membership = 2";
-        assert_eq!(db.query_ref(sql).unwrap().rows.len(), 2);
+        assert_eq!(db.query(sql).unwrap().rows.len(), 2);
         db.execute("insert into nodes values (4, 'compute-0-2', 2, '10.1.1.4')").unwrap();
-        assert_eq!(db.query_ref(sql).unwrap().rows.len(), 3, "cached plan must see new rows");
+        assert_eq!(db.query(sql).unwrap().rows.len(), 3, "cached plan must see new rows");
         db.execute("delete from nodes where membership = 2").unwrap();
-        assert_eq!(db.query_ref(sql).unwrap().rows.len(), 0);
+        assert_eq!(db.query(sql).unwrap().rows.len(), 0);
     }
 
     #[test]
     fn clone_starts_with_cold_cache() {
         let db = two_table_db();
-        db.query_ref("select name from nodes where id = 1").unwrap();
+        db.query("select name from nodes where id = 1").unwrap();
         let copy = db.clone();
         assert_eq!(copy.prepared_statements(), 0);
         // And the clone still answers (and re-caches) independently.
-        assert_eq!(copy.query_ref("select name from nodes where id = 1").unwrap().rows.len(), 1);
+        assert_eq!(copy.query("select name from nodes where id = 1").unwrap().rows.len(), 1);
     }
 
     #[test]
     fn query_stats_track_cache_decisions_and_rows() {
         let db = two_table_db();
         let sql = "select name from nodes where ip = '10.1.1.2'";
-        db.query_ref(sql).unwrap();
-        db.query_ref(sql).unwrap();
+        db.query(sql).unwrap();
+        db.query(sql).unwrap();
         let s = db.stats();
         assert_eq!(s.plan_cache_misses(), 1);
         assert_eq!(s.plan_cache_hits(), 1);
@@ -712,7 +678,7 @@ mod tests {
         // Estimate telemetry saw both executions of the costed plan.
         assert_eq!(s.estimate_ratio().count(), 2);
         // The scan baseline records a scan execution too.
-        db.query_ref_scan(sql).unwrap();
+        db.query_with(sql, &SCAN).unwrap();
         assert_eq!(s.scan_executions(), 3);
         // And the SQL-free fast path counts as a lookup.
         db.lookup_eq("nodes", "ip", &Value::Text("10.1.1.2".into())).unwrap();
@@ -727,11 +693,11 @@ mod tests {
     fn lookup_eq_matches_sql() {
         let db = two_table_db();
         let direct = db.lookup_eq("nodes", "ip", &Value::Text("10.1.1.2".into())).unwrap();
-        let via_sql = db.query_ref("select * from nodes where ip = '10.1.1.2'").unwrap();
+        let via_sql = db.query("select * from nodes where ip = '10.1.1.2'").unwrap();
         assert_eq!(direct, via_sql);
         // Int keys, multiple hits, preserving row order.
         let direct = db.lookup_eq("nodes", "membership", &Value::Int(2)).unwrap();
-        let via_sql = db.query_ref("select * from nodes where membership = 2").unwrap();
+        let via_sql = db.query("select * from nodes where membership = 2").unwrap();
         assert_eq!(direct, via_sql);
         // Misses and NULL probes return empty, not errors.
         assert!(db.lookup_eq("nodes", "ip", &Value::Text("none".into())).unwrap().rows.is_empty());

@@ -114,7 +114,7 @@ pub struct Step {
 /// A planned SELECT pipeline. Plans reference tables by FROM position
 /// and columns by index, so a plan stays valid as rows change and is
 /// cached per statement (invalidated when the schema generation or the
-/// stats epoch bumps — see `Database::query_ref`).
+/// stats epoch bumps — see `Database::query`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SelectPlan {
     /// Steps in execution order (a permutation of the FROM tables).
@@ -159,10 +159,14 @@ pub enum PlannerMode {
     /// `col = literal` becomes the index access, first connecting equi
     /// becomes a hash join. Kept as the benchmark/regression baseline.
     Heuristic,
+    /// No plan at all: the naive scan path every plan must match. The
+    /// differential oracle and the benchmarks' "before" side.
+    Scan,
 }
 
-/// Planner configuration, threaded through `Database::query_ref_config`
-/// so benchmarks can pin the baseline or a join algorithm.
+/// Planner configuration, threaded through `Database::query_with` so
+/// oracles and benchmarks can force the scan, pin the heuristic baseline
+/// or pin a join algorithm.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PlannerConfig {
     /// Strategy.
@@ -437,20 +441,22 @@ pub fn plan_select(tables: &[(&str, &Table)], where_clause: &Expr) -> Option<Sel
 }
 
 /// [`plan_select`] with an explicit configuration, also reporting what
-/// planning did (for telemetry).
+/// planning did (for telemetry). [`PlannerMode::Scan`] always declines.
 pub fn plan_select_with(
     tables: &[(&str, &Table)],
     where_clause: &Expr,
     config: &PlannerConfig,
 ) -> Option<(SelectPlan, PlanInfo)> {
+    let planner = match config.mode {
+        PlannerMode::Heuristic => plan_heuristic,
+        PlannerMode::CostBased => plan_cost_based,
+        PlannerMode::Scan => return None,
+    };
     if tables.is_empty() || tables.len() > 32 {
         return None; // join-set masks are u32; the scan path handles it
     }
     let analysis = analyze(tables, where_clause)?;
-    match config.mode {
-        PlannerMode::Heuristic => Some(plan_heuristic(tables, analysis, config)),
-        PlannerMode::CostBased => Some(plan_cost_based(tables, analysis, config)),
-    }
+    Some(planner(tables, analysis, config))
 }
 
 /// The original PR-2 planner: FROM order, first literal-eq as access,

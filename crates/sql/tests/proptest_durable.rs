@@ -76,8 +76,8 @@ const PROBES: &[&str] = &[
 
 fn assert_engines_agree(mem: &Database, durable: &DurableDatabase) {
     for sql in PROBES {
-        let m = mem.query_ref(sql);
-        let d = durable.reader().query_ref(sql);
+        let m = mem.query(sql);
+        let d = durable.reader().query(sql);
         match (m, d) {
             (Ok(m), Ok(d)) => assert_eq!(m, d, "results diverged for {sql}"),
             (Err(m), Err(d)) => assert_eq!(m, d, "errors diverged for {sql}"),

@@ -1,9 +1,10 @@
 //! Differential property tests for the query planner: every query the
 //! planner accepts must return results **byte-identical** to the naive
 //! scan path — same rows, same values, same order — and identical errors
-//! when it cannot run. `Database::query_ref` (planned, cached) is diffed
-//! against `Database::query_ref_scan` (forced full scan) over random
-//! tables, random queries, and random interleaved mutations.
+//! when it cannot run. `Database::query` (planned, cached) is diffed
+//! against `Database::query_with` in `PlannerMode::Scan` (forced full
+//! scan) over random tables, random queries, and random interleaved
+//! mutations.
 //!
 //! Value domains are deliberately tiny and collision-heavy, and the text
 //! column mixes integer-shaped spellings (`'5'`, `'05'`, `' 5'`) with
@@ -195,6 +196,9 @@ fn mutation_strategy() -> impl Strategy<Value = String> {
     ]
 }
 
+/// The oracle: the naive scan path, no plan at all.
+const SCAN: PlannerConfig = PlannerConfig { mode: PlannerMode::Scan, force_join: None };
+
 /// Every planner configuration the engine exposes: the default
 /// cost-based planner, the PR2-era heuristic baseline, and both join
 /// algorithms forced — all must agree with the scan, byte for byte.
@@ -213,8 +217,8 @@ const CONFIGS: [(&str, PlannerConfig); 3] = [
 /// Assert planned and scan execution agree exactly — result or error —
 /// for the cached cost-based path and every explicit configuration.
 fn assert_differential(db: &Database, sql: &str) {
-    let scanned = db.query_ref_scan(sql);
-    match (db.query_ref(sql), &scanned) {
+    let scanned = db.query_with(sql, &SCAN);
+    match (db.query(sql), &scanned) {
         (Ok(planned), Ok(scanned)) => {
             assert_eq!(&planned, scanned, "planned rows diverged for {sql}");
         }
@@ -226,7 +230,7 @@ fn assert_differential(db: &Database, sql: &str) {
         }
     }
     for (label, config) in &CONFIGS {
-        match (db.query_ref_config(sql, config), &scanned) {
+        match (db.query_with(sql, config), &scanned) {
             (Ok(planned), Ok(scanned)) => {
                 assert_eq!(&planned, scanned, "{label} rows diverged for {sql}");
             }
@@ -284,12 +288,12 @@ proptest! {
     ) {
         let db = build_db(&nodes, &memberships, &[]);
         let direct = db.lookup_eq("nodes", "id", &rocks_sql::Value::Int(probe)).unwrap();
-        let sql = db.query_ref_scan(&format!("select * from nodes where id = {probe}")).unwrap();
+        let sql = db.query_with(&format!("select * from nodes where id = {probe}"), &SCAN).unwrap();
         prop_assert_eq!(direct, sql);
         let direct = db
             .lookup_eq("nodes", "tag", &rocks_sql::Value::Text("5".into()))
             .unwrap();
-        let sql = db.query_ref_scan("select * from nodes where tag = '5'").unwrap();
+        let sql = db.query_with("select * from nodes where tag = '5'", &SCAN).unwrap();
         prop_assert_eq!(direct, sql);
     }
 }

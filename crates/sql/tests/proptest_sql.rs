@@ -51,8 +51,8 @@ proptest! {
     fn insert_then_count_matches(
         rows in proptest::collection::vec((0i64..1000, "[a-z]{1,8}", 0i64..8), 0..20)
     ) {
-        let mut db = seeded_db(&rows);
-        let count = db.query_column("select count(*) from nodes").unwrap();
+        let db = seeded_db(&rows);
+        let count = db.query("select count(*) from nodes").unwrap().first_column();
         prop_assert_eq!(count, vec![rows.len().to_string()]);
     }
 
@@ -61,7 +61,7 @@ proptest! {
         rows in proptest::collection::vec((0i64..1000, "[a-z]{1,8}", 0i64..8), 0..20),
         pivot in 0i64..8,
     ) {
-        let mut db = seeded_db(&rows);
+        let db = seeded_db(&rows);
         let lo = db.query(&format!("select id from nodes where rack < {pivot}")).unwrap();
         let hi = db.query(&format!("select id from nodes where rack >= {pivot}")).unwrap();
         prop_assert_eq!(lo.rows.len() + hi.rows.len(), rows.len());
@@ -71,7 +71,7 @@ proptest! {
     fn order_by_sorts(
         rows in proptest::collection::vec((0i64..1000, "[a-z]{1,8}", 0i64..8), 0..20)
     ) {
-        let mut db = seeded_db(&rows);
+        let db = seeded_db(&rows);
         let result = db.query("select id from nodes order by id").unwrap();
         let ids: Vec<i64> = result.rows.iter().map(|r| r[0].as_int().unwrap()).collect();
         let mut sorted = ids.clone();

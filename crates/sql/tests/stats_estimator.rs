@@ -8,6 +8,8 @@ use rocks_sql::disk::{CrashPlan, DiskError, MemVfs};
 use rocks_sql::durable::{DurableDatabase, DurableError};
 use rocks_sql::{Database, JoinAlgo, PlannerConfig, PlannerMode, Value};
 
+const SCAN: PlannerConfig = PlannerConfig { mode: PlannerMode::Scan, force_join: None };
+
 fn explain_text(db: &mut Database, sql: &str) -> Vec<String> {
     db.query(&format!("explain {sql}")).unwrap().rows.iter().map(|row| row[0].render()).collect()
 }
@@ -22,7 +24,7 @@ fn empty_table_plans_and_estimates_zero() {
     assert_eq!(stats.ndv(0), 0.0);
     // Planning on an empty table still runs and agrees with the scan.
     let sql = "select x from t where x = 5";
-    assert_eq!(db.query_ref(sql).unwrap(), db.query_ref_scan(sql).unwrap());
+    assert_eq!(db.query(sql).unwrap(), db.query_with(sql, &SCAN).unwrap());
     let text = explain_text(&mut db, sql);
     assert!(text.iter().any(|l| l.contains("est 0 rows")), "plan was {text:?}");
 }
@@ -44,7 +46,7 @@ fn all_null_column_estimates_and_matches_scan() {
         "select id from t where tag is not null",
         "select count(*) from t where tag = 'x' or id < 10",
     ] {
-        assert_eq!(db.query_ref(sql).unwrap(), db.query_ref_scan(sql).unwrap(), "for {sql}");
+        assert_eq!(db.query(sql).unwrap(), db.query_with(sql, &SCAN).unwrap(), "for {sql}");
     }
 }
 
@@ -64,7 +66,7 @@ fn single_value_column_scans_while_selective_column_probes() {
     assert!(narrow.iter().any(|l| l.contains("index(uniq = 37)")), "plan was {narrow:?}");
     // Both choices stay correct.
     for sql in ["select uniq from t where same = 'hot'", "select same from t where uniq = 37"] {
-        assert_eq!(db.query_ref(sql).unwrap(), db.query_ref_scan(sql).unwrap(), "for {sql}");
+        assert_eq!(db.query(sql).unwrap(), db.query_with(sql, &SCAN).unwrap(), "for {sql}");
     }
 }
 
@@ -82,7 +84,7 @@ fn int_text_coercion_keys_stay_exact_under_all_join_algorithms() {
     }
     db.execute("insert into l values (100, '7')").unwrap();
     let sql = "select l.id, r.id from l, r where l.tag = r.tag";
-    let scanned = db.query_ref_scan(sql).unwrap();
+    let scanned = db.query_with(sql, &SCAN).unwrap();
     for (label, config) in [
         ("cost-based", PlannerConfig::default()),
         (
@@ -95,7 +97,7 @@ fn int_text_coercion_keys_stay_exact_under_all_join_algorithms() {
         ),
         ("heuristic", PlannerConfig { mode: PlannerMode::Heuristic, force_join: None }),
     ] {
-        assert_eq!(db.query_ref_config(sql, &config).unwrap(), scanned, "{label} diverged");
+        assert_eq!(db.query_with(sql, &config).unwrap(), scanned, "{label} diverged");
     }
 }
 
@@ -108,7 +110,7 @@ fn plan_cache_recosts_after_100x_growth_with_hysteresis() {
     }
     let sql = "select id from t where tag = 'hot'";
     // Small table, predicate matching every row: the cached plan scans.
-    db.query_ref(sql).unwrap();
+    db.query(sql).unwrap();
     assert_eq!(db.stats().scan_executions(), 1);
     assert_eq!(db.stats().plan_cache_misses(), 1);
 
@@ -118,16 +120,16 @@ fn plan_cache_recosts_after_100x_growth_with_hysteresis() {
     for i in 8..808 {
         db.execute(&format!("insert into t values ({i}, 'cold-{i}')")).unwrap();
     }
-    db.query_ref(sql).unwrap();
+    db.query(sql).unwrap();
     assert_eq!(db.stats().plan_cache_misses(), 2, "growth must re-plan");
     assert_eq!(db.stats().indexed_executions(), 1, "re-costed plan probes the index");
-    assert_eq!(db.query_ref(sql).unwrap(), db.query_ref_scan(sql).unwrap());
+    assert_eq!(db.query(sql).unwrap(), db.query_with(sql, &SCAN).unwrap());
 
     // Hysteresis: one more single-row INSERT stays inside the same size
     // band, so the freshly cached plan survives and the next query hits.
     let hits_before = db.stats().plan_cache_hits();
     db.execute("insert into t values (808, 'cold-808')").unwrap();
-    db.query_ref(sql).unwrap();
+    db.query(sql).unwrap();
     assert_eq!(db.stats().plan_cache_misses(), 2, "single-row insert must not evict");
     assert!(db.stats().plan_cache_hits() > hits_before);
 }
@@ -141,7 +143,7 @@ fn run_stats_workload(db: &mut DurableDatabase) -> Result<(), DurableError> {
         db.execute(&format!("insert into nodes values ({i}, 'tag-{}')", i % 5))?;
     }
     // Planning through the reader builds (warms) nodes' statistics.
-    let _ = db.reader().query_ref("select id from nodes where id = 7");
+    let _ = db.reader().query("select id from nodes where id = 7");
     db.checkpoint()?;
     // Post-checkpoint writes land in the WAL on top of the snapshot.
     for i in 40..48 {
@@ -159,7 +161,7 @@ fn stats_recover_after_crash_mid_checkpoint() {
     for i in 0..40 {
         db.execute(&format!("insert into nodes values ({i}, 'tag-{}')", i % 5)).unwrap();
     }
-    let _ = db.reader().query_ref("select id from nodes where id = 7");
+    let _ = db.reader().query("select id from nodes where id = 7");
     let before_checkpoint = vfs.ops();
     db.checkpoint().unwrap();
     let after_checkpoint = vfs.ops();
@@ -192,8 +194,8 @@ fn stats_recover_after_crash_mid_checkpoint() {
                 "select id from nodes where tag = 'late' and id > 41",
             ] {
                 assert_eq!(
-                    db.reader().query_ref(sql).unwrap(),
-                    db.reader().query_ref_scan(sql).unwrap(),
+                    db.reader().query(sql).unwrap(),
+                    db.reader().query_with(sql, &SCAN).unwrap(),
                     "planned ≡ scan broke after crash at op {at_op} for {sql}"
                 );
             }

@@ -119,7 +119,7 @@ fn duplicate_commit_records_are_skipped_on_replay() {
     assert_eq!(db.recovery_report().commits_replayed as usize, SETUP.len());
     assert_eq!(db.recovery_report().commits_skipped, 2);
     assert_eq!(db.seq(), last.seq);
-    let rows = db.reader().query_ref("select id from nodes order by id").unwrap();
+    let rows = db.reader().query("select id from nodes order by id").unwrap();
     assert_eq!(rows.rows.len(), 3);
 }
 
@@ -232,21 +232,21 @@ fn stale_cached_plan_never_serves_rolled_back_rows() {
     let mut db = populated(&vfs);
     let probe = "select name from nodes where rack = 1 order by id";
     // Warm the cache against pre-transaction contents too.
-    assert_eq!(db.reader().query_ref(probe).unwrap().rows.len(), 1);
+    assert_eq!(db.reader().query(probe).unwrap().rows.len(), 1);
 
     db.begin().unwrap();
     db.execute("insert into nodes values (40, 'ghost-1-9', 1)").unwrap();
     // Re-warm the cache against the provisional contents.
-    let provisional = db.reader().query_ref(probe).unwrap();
+    let provisional = db.reader().query(probe).unwrap();
     assert_eq!(provisional.rows.len(), 2, "transaction contents visible before rollback");
     db.rollback().unwrap();
 
-    let after = db.reader().query_ref(probe).unwrap();
+    let after = db.reader().query(probe).unwrap();
     assert_eq!(after.rows.len(), 1, "cached plan served rolled-back rows");
     assert!(!format!("{after:?}").contains("ghost"), "rolled-back row leaked: {after:?}");
 
     drop(db);
     let recovered = DurableDatabase::open(&vfs).unwrap();
-    let replayed = recovered.reader().query_ref(probe).unwrap();
+    let replayed = recovered.reader().query(probe).unwrap();
     assert_eq!(replayed.rows.len(), 1, "rolled-back row survived recovery");
 }

@@ -1,12 +1,11 @@
 //! Differential tests: a rollout with zero competing jobs is just a
-//! mass reinstall, so it must agree with the pre-existing mass paths —
-//! the same set of nodes reinstalled, the same per-node byte totals the
-//! netsim install servers shipped, and the legacy `roll_cluster` end
-//! time — plus a golden-trace check that the orchestrator's telemetry
-//! is byte-identical run over run.
+//! mass reinstall, so it must agree with the mass paths — the same set
+//! of nodes reinstalled, the same per-node byte totals the netsim install
+//! servers shipped, and an end time of exactly one fixed-cost leg — plus
+//! a golden-trace check that the orchestrator's telemetry is
+//! byte-identical run over run.
 
 use rocks::netsim::{ClusterSim, NetsimInstallBackend, SimConfig};
-use rocks::pbs::reinstall::roll_cluster;
 use rocks::pbs::{
     run_rollout, standard_rollout_invariants, FixedInstall, PbsServer, RolloutConfig,
     RolloutOutcome,
@@ -87,12 +86,10 @@ fn zero_job_rollout_matches_netsim_mass_bytes() {
 
 #[test]
 fn zero_job_rollout_matches_roll_cluster_end_time() {
-    // Against the legacy fixed-duration mass path: identical end time
-    // and node set when driven by the same fixed leg cost.
+    // The fixed-duration mass roll (the §5 upgrade's model): every node
+    // installs at once, so the roll ends after exactly one leg and
+    // reinstalls every node.
     let n = 12;
-    let mut legacy = server(n);
-    let legacy_end = roll_cluster(&mut legacy, 480.0).unwrap();
-
     let mut s = server(n);
     let mut backend = FixedInstall { seconds: 480.0, bytes: 7 };
     let out = run_rollout(
@@ -106,10 +103,10 @@ fn zero_job_rollout_matches_roll_cluster_end_time() {
     )
     .unwrap();
     assert!(out.violations.is_empty());
-    assert!((out.report.makespan_seconds - legacy_end).abs() < 1e-6);
+    assert!((out.report.makespan_seconds - 480.0).abs() < 1e-6);
     let mut rolled = out.report.reinstalled;
     rolled.sort();
-    assert_eq!(rolled, legacy.node_names());
+    assert_eq!(rolled, s.node_names());
 }
 
 #[test]
