@@ -32,9 +32,8 @@ fn bench_sql(c: &mut Criterion) {
                 .unwrap()
             })
         });
-        let mut db2 = cluster_db(n);
         group.bench_with_input(BenchmarkId::new("generate_reports", n), &n, |b, _| {
-            b.iter(|| reports::generate_all(&mut db2).unwrap())
+            b.iter(|| reports::generate_all(&db).unwrap())
         });
     }
     group.finish();

@@ -408,10 +408,17 @@ impl Cluster {
 
     /// Replace a node's failed hardware: rebind the database row to the
     /// new MAC (identity, address, rack and rank survive) and reinstall
-    /// the machine — §3.1's component-replacement flow.
-    pub fn replace_node(&mut self, name: &str, new_mac: &str) -> Result<ReinstallReport> {
-        rocks_db::insert_ethers::replace_node(&mut self.db, name, new_mac)?;
-        self.shoot_nodes(std::slice::from_ref(&name.to_string()))
+    /// the machine — §3.1's component-replacement flow. Returns the
+    /// reinstall and the service configuration files rebuilt for the new
+    /// MAC binding.
+    pub fn replace_node(
+        &mut self,
+        name: &str,
+        new_mac: &str,
+    ) -> Result<(ReinstallReport, reports::GeneratedReports)> {
+        let (_, reports) = rocks_db::insert_ethers::replace_node(&mut self.db, name, new_mac)?;
+        let reinstall = self.shoot_nodes(std::slice::from_ref(&name.to_string()))?;
+        Ok((reinstall, reports))
     }
 
     /// Drift a node away from its installed state (an experiment gone
@@ -448,8 +455,8 @@ impl Cluster {
 
     /// The generated service configuration files (regenerated from the
     /// database on demand, §6.4).
-    pub fn reports(&mut self) -> Result<reports::GeneratedReports> {
-        Ok(reports::generate_all(&mut self.db)?)
+    pub fn reports(&self) -> Result<reports::GeneratedReports> {
+        Ok(reports::generate_all(&self.db)?)
     }
 
     /// Rebuild the distribution from new update/contrib repositories,
@@ -683,8 +690,10 @@ mod tests {
     fn replace_node_rebinds_and_reinstalls() {
         let mut cluster = small_cluster(2);
         let before = cluster.db.node_by_name("compute-0-1").unwrap();
-        let report = cluster.replace_node("compute-0-1", "00:50:8b:ff:ff:01").unwrap();
+        let (report, reports) = cluster.replace_node("compute-0-1", "00:50:8b:ff:ff:01").unwrap();
         assert_eq!(report.nodes, vec!["compute-0-1".to_string()]);
+        assert!(reports.dhcpd_conf.contains("hardware ethernet 00:50:8b:ff:ff:01;"));
+        assert!(!reports.dhcpd_conf.contains(&before.mac));
         let after = cluster.db.node_by_name("compute-0-1").unwrap();
         assert_eq!(after.ip, before.ip);
         assert_eq!(after.mac, "00:50:8b:ff:ff:01");

@@ -8,6 +8,11 @@
 //! running queries against the database, and restarting the respective
 //! services." Nodes are booted *sequentially* so rack/rank follow
 //! physical position.
+//!
+//! One [`InsertEthers::observe`] reads the `nodes` table twice: one scan
+//! before the insert yields the next id and the addresses in use, and
+//! [`reports::generate_all`] rebuilds the reports from one read of the
+//! committed table after it.
 
 use crate::ip::{alloc_descending, Ipv4};
 use crate::reports;
@@ -59,11 +64,12 @@ impl<'a> InsertEthers<'a> {
         }
 
         let membership = self.db.membership(self.membership_id)?;
-        let id = self.db.next_node_id()?;
+        let (id, used) = self.db.next_id_and_used_ips()?;
         let rank = self.next_rank;
         let name = format!("{}-{}-{}", membership.basename, self.rack, rank);
-        let used = self.db.used_ips()?;
         let ip = alloc_descending(Ipv4::ALLOC_TOP, &used).ok_or(DbError::NoFreeAddress)?;
+        // The rebuild below reads the table again; hold no copy across it.
+        drop(used);
 
         let record = NodeRecord {
             id,
@@ -100,8 +106,13 @@ impl<'a> InsertEthers<'a> {
 /// clusters "evolve into heterogeneous systems ... as failed components
 /// are replaced"). The new machine keeps the hostname, IP, rack and rank
 /// — only the MAC binding changes — so generated configuration stays
-/// stable and the next boot reinstalls the same appliance.
-pub fn replace_node(db: &mut ClusterDb, name: &str, new_mac: &str) -> Result<NodeRecord> {
+/// stable and the next boot reinstalls the same appliance. Returns the
+/// rebound record and the reports rebuilt after the change.
+pub fn replace_node(
+    db: &mut ClusterDb,
+    name: &str,
+    new_mac: &str,
+) -> Result<(NodeRecord, reports::GeneratedReports)> {
     let _ = db.node_by_name(name)?; // must exist
     let clash = db.node_by_mac(new_mac)?.map(|n| n.name);
     if let Some(owner) = clash {
@@ -114,8 +125,7 @@ pub fn replace_node(db: &mut ClusterDb, name: &str, new_mac: &str) -> Result<Nod
         crate::sql_escape(new_mac),
         crate::sql_escape(name)
     ))?;
-    reports::generate_all(db)?;
-    db.node_by_name(name)
+    Ok((db.node_by_name(name)?, reports::generate_all(db)?))
 }
 
 /// Register the frontend itself — done at frontend install time, before
@@ -230,7 +240,10 @@ mod tests {
         let mut s = InsertEthers::start(&mut db, "Compute", 0).unwrap();
         let original = s.observe(&DhcpRequest { mac: mac(1) }).unwrap().unwrap();
 
-        let replaced = replace_node(&mut db, "compute-0-0", &mac(99)).unwrap();
+        let (replaced, reports) = replace_node(&mut db, "compute-0-0", &mac(99)).unwrap();
+        assert_eq!(reports, reports::generate_all(&db).unwrap());
+        assert!(reports.dhcpd_conf.contains(&mac(99)));
+        assert!(!reports.dhcpd_conf.contains(&mac(1)));
         assert_eq!(replaced.name, original.name);
         assert_eq!(replaced.ip, original.ip);
         assert_eq!(replaced.rack, original.rack);

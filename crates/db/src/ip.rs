@@ -76,13 +76,18 @@ impl fmt::Display for Ipv4 {
 /// staying inside the cluster network. This matches insert-ethers'
 /// "determines the next *free* IP address" with the descending convention
 /// visible in Table II.
+///
+/// `used` is sorted once and each step of the walk probes it by binary
+/// search, so a walk past `n` taken addresses costs O(n log n), not O(n²).
 pub fn alloc_descending(top: Ipv4, used: &[Ipv4]) -> Option<Ipv4> {
+    let mut sorted = used.to_vec();
+    sorted.sort_unstable();
     let mut candidate = top;
     loop {
         if !candidate.in_network(Ipv4::NETWORK, Ipv4::PREFIX_LEN) {
             return None;
         }
-        if !used.contains(&candidate) && candidate != Ipv4::FRONTEND {
+        if candidate != Ipv4::FRONTEND && sorted.binary_search(&candidate).is_err() {
             return Some(candidate);
         }
         candidate = candidate.prev();
@@ -153,5 +158,65 @@ mod tests {
         // 10.0.0.0..=10.0.0.1 and starting at 10.0.0.1.
         let used: Vec<Ipv4> = vec![Ipv4::new(10, 0, 0, 0), Ipv4::new(10, 0, 0, 1)];
         assert_eq!(alloc_descending(Ipv4::new(10, 0, 0, 1), &used), None);
+    }
+
+    /// The original allocator: a linear `contains` probe at every step.
+    fn alloc_linear(top: Ipv4, used: &[Ipv4]) -> Option<Ipv4> {
+        let mut candidate = top;
+        loop {
+            if !candidate.in_network(Ipv4::NETWORK, Ipv4::PREFIX_LEN) {
+                return None;
+            }
+            if !used.contains(&candidate) && candidate != Ipv4::FRONTEND {
+                return Some(candidate);
+            }
+            candidate = candidate.prev();
+        }
+    }
+
+    #[test]
+    fn sorted_probe_matches_linear_scan() {
+        // 10k contiguous addresses below the top, in scrambled order, with
+        // a hole every 997 that successive allocations must fill first.
+        let contiguous: Vec<Ipv4> = (0..10_000u32).map(|k| Ipv4(Ipv4::ALLOC_TOP.0 - k)).collect();
+        let mut used: Vec<Ipv4> =
+            contiguous.iter().copied().filter(|ip| ip.0 % 997 != 0).rev().collect();
+        let third = used.len() / 3;
+        used.rotate_left(third);
+        let holes = contiguous.len() - used.len();
+        for k in 0..holes {
+            let got = alloc_descending(Ipv4::ALLOC_TOP, &used).unwrap();
+            // The oracle is quadratic; the first few walks suffice for it.
+            if k < 3 {
+                assert_eq!(Some(got), alloc_linear(Ipv4::ALLOC_TOP, &used));
+            }
+            assert_eq!(got.0 % 997, 0, "allocation {k} missed the next hole");
+            used.push(got);
+        }
+        // Every hole is filled: the next address is the first below the run.
+        let below = Ipv4(Ipv4::ALLOC_TOP.0 - 10_000);
+        assert_eq!(alloc_descending(Ipv4::ALLOC_TOP, &used), Some(below));
+        assert_eq!(alloc_linear(Ipv4::ALLOC_TOP, &used), Some(below));
+
+        // The frontend address is skipped whether or not it is listed, and
+        // duplicates in `used` change nothing.
+        let top = Ipv4(Ipv4::FRONTEND.0 + 3);
+        let around: Vec<Ipv4> = (0..3).map(|k| Ipv4(top.0 - k)).collect();
+        let mut with_frontend = around.clone();
+        with_frontend.extend([Ipv4::FRONTEND, top, top]);
+        for list in [&around, &with_frontend] {
+            assert_eq!(alloc_descending(top, list), alloc_linear(top, list));
+            assert_eq!(alloc_descending(top, list), Some(Ipv4::FRONTEND.prev()));
+        }
+
+        // Exhaustion: every address from `top` down to the network edge.
+        let top = Ipv4::new(10, 0, 39, 15);
+        let all: Vec<Ipv4> = (Ipv4::NETWORK.0..=top.0).rev().map(Ipv4).collect();
+        assert_eq!(all.len(), 10_000);
+        assert_eq!(alloc_linear(top, &all), None);
+        assert_eq!(alloc_descending(top, &all), None);
+        // Free the network address itself: the walk reaches it last.
+        assert_eq!(alloc_descending(top, &all[..all.len() - 1]), Some(Ipv4::NETWORK));
+        assert_eq!(alloc_linear(top, &all[..all.len() - 1]), Some(Ipv4::NETWORK));
     }
 }

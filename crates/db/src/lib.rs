@@ -374,13 +374,14 @@ impl ClusterDb {
     /// All nodes ordered by id. Read-only.
     pub fn nodes(&self) -> Result<Vec<NodeRecord>> {
         let result = self.sql_ref().query("select * from nodes order by id")?;
-        Ok(result.rows.iter().map(|r| NodeRecord::from_row(r)).collect())
+        Ok(result.rows.into_iter().map(NodeRecord::from_row).collect())
     }
 
     /// A node by name. Read-only indexed lookup.
     pub fn node_by_name(&self, name: &str) -> Result<NodeRecord> {
         let result = self.sql_ref().lookup_eq("nodes", "name", &Value::Text(name.to_string()))?;
-        let row = result.rows.first().ok_or_else(|| DbError::NoSuchNode(name.to_string()))?;
+        let row =
+            result.rows.into_iter().next().ok_or_else(|| DbError::NoSuchNode(name.to_string()))?;
         Ok(NodeRecord::from_row(row))
     }
 
@@ -391,7 +392,8 @@ impl ClusterDb {
     /// table scan per request.
     pub fn node_by_ip(&self, ip: &str) -> Result<NodeRecord> {
         let result = self.sql_ref().lookup_eq("nodes", "ip", &Value::Text(ip.to_string()))?;
-        let row = result.rows.first().ok_or_else(|| DbError::NoSuchNode(ip.to_string()))?;
+        let row =
+            result.rows.into_iter().next().ok_or_else(|| DbError::NoSuchNode(ip.to_string()))?;
         Ok(NodeRecord::from_row(row))
     }
 
@@ -401,7 +403,7 @@ impl ClusterDb {
     /// node would otherwise invalidate every cached profile).
     pub fn node_by_mac(&self, mac: &str) -> Result<Option<NodeRecord>> {
         let result = self.sql_ref().lookup_eq("nodes", "mac", &Value::Text(mac.to_string()))?;
-        Ok(result.rows.first().map(|r| NodeRecord::from_row(r)))
+        Ok(result.rows.into_iter().next().map(NodeRecord::from_row))
     }
 
     /// The graph root (appliance name) that kickstarts `appliance`, or
@@ -423,7 +425,7 @@ impl ClusterDb {
              where nodes.membership = memberships.id and memberships.compute = 'yes' \
              order by nodes.id",
         )?;
-        Ok(result.rows.iter().map(|r| NodeRecord::from_row(r)).collect())
+        Ok(result.rows.into_iter().map(NodeRecord::from_row).collect())
     }
 
     /// Next unused node id. Read-only.
@@ -489,6 +491,22 @@ impl ClusterDb {
     pub fn used_ips(&self) -> Result<Vec<Ipv4>> {
         let result = self.sql_ref().query("select ip from nodes")?;
         Ok(result.rows.iter().filter_map(|r| r[0].as_text().and_then(Ipv4::parse)).collect())
+    }
+
+    /// [`next_node_id`](Self::next_node_id) and [`used_ips`](Self::used_ips)
+    /// from one scan of `nodes`: what insert-ethers needs before an insert.
+    /// The raw rows keep both answers exact where a [`NodeRecord`] cannot:
+    /// `max(id)` skips NULL ids, and an address that is not dotted-quad is
+    /// not in use. Read-only.
+    pub(crate) fn next_id_and_used_ips(&self) -> Result<(i64, Vec<Ipv4>)> {
+        let result = self.sql_ref().query("select id, ip from nodes")?;
+        let mut max_id = None;
+        let mut used = Vec::with_capacity(result.rows.len());
+        for row in &result.rows {
+            max_id = max_id.max(row[0].as_int());
+            used.extend(row[1].as_text().and_then(Ipv4::parse));
+        }
+        Ok((max_id.map_or(1, |id| id + 1), used))
     }
 
     /// Every kickstartable node, fully resolved for mass generation and

@@ -84,18 +84,29 @@ impl NodeRecord {
         self
     }
 
-    /// Build from a full `select * from nodes` row.
-    pub fn from_row(row: &[Value]) -> NodeRecord {
+    /// Build from a full `select * from nodes` row, moving its strings
+    /// out instead of copying them.
+    pub fn from_row(row: Vec<Value>) -> NodeRecord {
+        let [id, mac, name, membership, rack, rank, ip, comment]: [Value; 8] =
+            row.try_into().expect("a nodes row has eight columns");
         NodeRecord {
-            id: row[0].as_int().unwrap_or(0),
-            mac: row[1].render(),
-            name: row[2].render(),
-            membership: row[3].as_int().unwrap_or(0),
-            rack: row[4].as_int().unwrap_or(0),
-            rank: row[5].as_int().unwrap_or(0),
-            ip: row[6].as_text().and_then(Ipv4::parse).unwrap_or(Ipv4::NETWORK),
-            comment: if row[7].is_null() { None } else { Some(row[7].render()) },
+            id: id.as_int().unwrap_or(0),
+            mac: into_text(mac),
+            name: into_text(name),
+            membership: membership.as_int().unwrap_or(0),
+            rack: rack.as_int().unwrap_or(0),
+            rank: rank.as_int().unwrap_or(0),
+            ip: ip.as_text().and_then(Ipv4::parse).unwrap_or(Ipv4::NETWORK),
+            comment: if comment.is_null() { None } else { Some(into_text(comment)) },
         }
+    }
+}
+
+/// [`Value::render`] for an owned value: text moves out as-is.
+fn into_text(value: Value) -> String {
+    match value {
+        Value::Text(s) => s,
+        other => other.render(),
     }
 }
 
@@ -190,7 +201,7 @@ mod tests {
         )
         .unwrap();
         let result = db.query("select * from nodes").unwrap();
-        let n = NodeRecord::from_row(&result.rows[0]);
+        let n = NodeRecord::from_row(result.rows.into_iter().next().unwrap());
         assert_eq!(n.name, "compute-0-0");
         assert_eq!(n.ip, Ipv4::new(10, 255, 255, 245));
         assert_eq!(n.comment.as_deref(), Some("Compute node"));

@@ -28,7 +28,7 @@ fn main() {
     // compute-0-2's motherboard dies. The replacement chassis keeps the
     // node's identity; only the MAC binding changes, then it reinstalls.
     let before = cluster.db.node_by_name("compute-0-2").expect("exists");
-    let report = cluster.replace_node("compute-0-2", "00:50:8b:ff:00:99").expect("replace");
+    let (report, _) = cluster.replace_node("compute-0-2", "00:50:8b:ff:00:99").expect("replace");
     let after = cluster.db.node_by_name("compute-0-2").expect("exists");
     println!(
         "replaced compute-0-2: mac {} -> {}, ip stable at {}, reinstalled in {:.1} min",

@@ -214,7 +214,7 @@ fn durable_db_killed_mid_reinstall_recovers_one_consistent_revision() {
         drop(db);
 
         let survivor = vfs.survivor();
-        let mut db = ClusterDb::open_durable(&survivor).unwrap();
+        let db = ClusterDb::open_durable(&survivor).unwrap();
         let nodes = db.compute_nodes().unwrap();
         assert_eq!(nodes.len(), 6, "seed {seed}: integrated nodes lost");
 
@@ -256,11 +256,11 @@ fn durable_db_killed_mid_reinstall_recovers_one_consistent_revision() {
         assert_eq!(db.revision(), rev, "seed {seed}: serving kickstarts bumped the revision");
 
         // Reports are pure reads and byte-stable across a second recovery.
-        let first = reports::generate_all(&mut db).unwrap();
+        let first = reports::generate_all(&db).unwrap();
         assert_eq!(db.revision(), rev, "seed {seed}: report generation bumped the revision");
-        let mut again = ClusterDb::open_durable(&survivor).unwrap();
+        let again = ClusterDb::open_durable(&survivor).unwrap();
         assert_eq!(again.revision(), rev, "seed {seed}: second recovery saw another revision");
-        let second = reports::generate_all(&mut again).unwrap();
+        let second = reports::generate_all(&again).unwrap();
         assert_eq!(first.hosts, second.hosts, "seed {seed}");
         assert_eq!(first.dhcpd_conf, second.dhcpd_conf, "seed {seed}");
         assert_eq!(first.pbs_nodes, second.pbs_nodes, "seed {seed}");
