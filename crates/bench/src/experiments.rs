@@ -1422,10 +1422,11 @@ pub struct TraceSnapshot {
 }
 
 impl TraceSnapshot {
-    /// No-op-sink overhead over the disabled baseline, in percent
-    /// (clamped at zero: timing jitter can make the noop run faster).
+    /// No-op-sink overhead over the disabled baseline, in percent. The
+    /// reading is signed: timing jitter can make the no-op run faster,
+    /// and a negative value says the overhead is below the noise.
     pub fn overhead_pct(&self) -> f64 {
-        ((self.noop_ms - self.baseline_ms) / self.baseline_ms * 100.0).max(0.0)
+        (self.noop_ms - self.baseline_ms) / self.baseline_ms * 100.0
     }
 
     /// Render as the `BENCH_trace.json` document.

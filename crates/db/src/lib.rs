@@ -104,7 +104,7 @@ enum Store {
     Durable(Box<DurableDatabase>),
 }
 
-/// See the [crate docs](crate) and [`Store`].
+/// See the [crate docs](crate) and the private `Store` enum.
 #[derive(Debug)]
 pub struct ClusterDb {
     store: Store,

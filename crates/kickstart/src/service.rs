@@ -26,7 +26,7 @@
 //! entry point: it shards the cluster's kickstartable nodes across a
 //! worker pool of OS threads. Every worker performs read-only SQL lookups
 //! against the *shared* `&ClusterDb` concurrently (see
-//! [`rocks_sql::Database::query`]) and localizes a cached skeleton per
+//! `rocks_sql::Database::query`) and localizes a cached skeleton per
 //! node. Output is byte-identical to the sequential cold path.
 //!
 //! [`notify_dist_rebuilt`]: GenerationService::notify_dist_rebuilt
@@ -41,10 +41,6 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
-
-/// Per-node localize latency buckets, in nanoseconds (1µs .. 100ms).
-const LOCALIZE_LATENCY_BOUNDS: &[u64] =
-    &[1_000, 10_000, 100_000, 1_000_000, 10_000_000, 100_000_000];
 
 /// Skeleton-cache shard count. Sharding exists purely to cut lock
 /// contention when many serving threads hit the cache at once (the
@@ -119,8 +115,7 @@ impl Stats {
             skeleton_ns: registry.counter("kickstart.skeleton_ns"),
             localize_ns: registry.counter("kickstart.localize_ns"),
             kickstart_refetches: registry.counter("kickstart.refetches"),
-            localize_latency: registry
-                .histogram("kickstart.localize_latency_ns", LOCALIZE_LATENCY_BOUNDS),
+            localize_latency: registry.histogram("kickstart.localize_latency_ns"),
         }
     }
 
@@ -185,7 +180,7 @@ impl Stats {
         self.requests.incr();
     }
 
-    /// Zero every counter.
+    /// Zero every counter and empty the localize latency histogram.
     pub fn reset(&self) {
         for counter in [
             &self.hits,
@@ -199,6 +194,7 @@ impl Stats {
         ] {
             counter.reset();
         }
+        self.localize_latency.reset();
     }
 
     fn add_ns(counter: &Counter, since: Instant) {
@@ -708,6 +704,23 @@ mod tests {
             .count();
         assert_eq!(enters, exits);
         assert!(enters >= 4, "generate_all phases + request span expected, got {enters}");
+    }
+
+    #[test]
+    fn reset_keeps_one_latency_sample_per_hit() {
+        let db = cluster(4);
+        let svc = service();
+        svc.generate_all(&db, Arch::I686, 2).unwrap();
+        svc.stats().reset();
+        assert_eq!(svc.stats().localize_latency().count(), 0);
+        // Cold again, so the skeleton phase misses and every hit is a
+        // per-node localization (a warm skeleton phase also counts one
+        // hit per appliance root).
+        svc.notify_dist_rebuilt();
+        svc.generate_all(&db, Arch::I686, 2).unwrap();
+        let s = svc.stats();
+        assert!(s.hits() > 0);
+        assert_eq!(s.localize_latency().count(), s.hits());
     }
 
     #[test]

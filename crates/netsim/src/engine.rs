@@ -14,15 +14,15 @@
 //! [`EngineMode`]:
 //!
 //! * **[`EngineMode::Fast`]** (the default) groups flows into (route,
-//!   demand) equivalence classes ([`crate::classes`]), progressive-fills
+//!   demand) equivalence classes (the `classes` module), progressive-fills
 //!   over classes instead of flows (O(C²·L) per recompute), tracks
 //!   cumulative per-class service so advancing time touches O(C) state
 //!   instead of debiting every flow, and finds the next timer through a
-//!   lazy-deletion binary heap ([`crate::queue`]). This is what lets the
+//!   lazy-deletion binary heap (the `queue` module). This is what lets the
 //!   reinstall sweep reach 8192 nodes.
 //! * **[`EngineMode::Reference`]** is the original per-flow
 //!   implementation, kept verbatim as the correctness oracle:
-//!   [`Engine::recompute_rates_ref`] fills per flow in O(F²·L) and
+//!   `Engine::recompute_rates_ref` fills per flow in O(F²·L) and
 //!   `step` debits every flow on every event. The differential proptest
 //!   suite (`tests/proptest_diff_engine.rs`) asserts the two paths agree
 //!   on completion order, event timestamps, and per-link byte totals.

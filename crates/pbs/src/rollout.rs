@@ -780,7 +780,7 @@ const PLAN_MAX_WALLTIME: f64 = 600.0;
 
 impl RolloutPlan {
     /// Generate a plan from a seed. All randomness is bounded so every
-    /// plan converges: walltimes ≤ [`PLAN_MAX_WALLTIME`], flaps are
+    /// plan converges: walltimes ≤ `PLAN_MAX_WALLTIME`, flaps are
     /// finite and non-overlapping, stragglers add bounded penalties.
     pub fn generate(seed: u64) -> RolloutPlan {
         let mut rng = StdRng::seed_from_u64(seed);

@@ -40,16 +40,6 @@ use rocks_trace::{Histogram, Registry, Tracer};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
-/// Latency-histogram upper bounds, µs. Shared by every per-shard
-/// registry so merges are exact bucket-wise adds.
-pub const LATENCY_BOUNDS_US: &[u64] = &[
-    50, 75, 100, 150, 200, 300, 400, 600, 800, 1_000, 1_500, 2_000, 3_000, 4_000, 6_000, 8_000,
-    12_000, 20_000, 50_000, 100_000, 300_000, 1_000_000,
-];
-
-/// Queue-depth histogram upper bounds (entries at admission time).
-pub const QUEUE_BOUNDS: &[u64] = &[0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1_024, 2_048, 4_096];
-
 /// Terminal state of one request.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Outcome {
@@ -99,11 +89,11 @@ pub struct ReqLog {
 pub struct LatencySummary {
     /// Samples.
     pub count: u64,
-    /// Median, µs (bucket upper bound).
+    /// Median, µs (at most 1/64 above the exact sample).
     pub p50_us: u64,
-    /// 95th percentile, µs.
+    /// 95th percentile, µs (at most 1/64 above the exact sample).
     pub p95_us: u64,
-    /// 99th percentile, µs.
+    /// 99th percentile, µs (at most 1/64 above the exact sample).
     pub p99_us: u64,
     /// Exact maximum, µs.
     pub max_us: u64,
@@ -461,10 +451,10 @@ impl Engine<'_> {
         let s = self.shard_of(w);
         self.per_shard_completed[s] += 1;
         let reg = &self.shard_regs[s];
-        reg.histogram("serve.latency_us", LATENCY_BOUNDS_US).record(lat);
+        reg.histogram("serve.latency_us").record(lat);
         let class_hist =
             if install { "serve.latency_install_us" } else { "serve.latency_report_us" };
-        reg.histogram(class_hist, LATENCY_BOUNDS_US).record(lat);
+        reg.histogram(class_hist).record(lat);
         if let Some(c) = client {
             if let Arrivals::Closed { think_us, .. } = self.wl.arrivals {
                 self.push(t + think_us.max(1), Ev::ClientIssue { client: c });
@@ -540,20 +530,18 @@ impl Engine<'_> {
             ));
         }
 
-        // Merge per-shard latency registries — the exact bucket-wise
-        // path `Registry::merge` provides for same-bounds histograms.
+        // Merge per-shard latency registries: every histogram shares one
+        // bucket layout, so `Registry::merge` adds bucket-wise and the
+        // merged quantiles equal those of a single unsharded histogram.
         let merged = Registry::new();
         for r in &self.shard_regs {
             merged.merge(r);
         }
-        let latency =
-            LatencySummary::from_hist(&merged.histogram("serve.latency_us", LATENCY_BOUNDS_US));
-        let install_latency = LatencySummary::from_hist(
-            &merged.histogram("serve.latency_install_us", LATENCY_BOUNDS_US),
-        );
-        let report_latency = LatencySummary::from_hist(
-            &merged.histogram("serve.latency_report_us", LATENCY_BOUNDS_US),
-        );
+        let latency = LatencySummary::from_hist(&merged.histogram("serve.latency_us"));
+        let install_latency =
+            LatencySummary::from_hist(&merged.histogram("serve.latency_install_us"));
+        let report_latency =
+            LatencySummary::from_hist(&merged.histogram("serve.latency_report_us"));
 
         if let Some(reg) = self.tracer.registry() {
             reg.counter("serve.arrivals").add(self.arrivals);
@@ -601,10 +589,7 @@ pub fn run_serve(
 ) -> (ServeReport, Vec<ReqLog>) {
     let cfg = cfg.normalized();
     let total = cfg.total_workers();
-    let qdepth = tracer
-        .registry()
-        .map(|r| r.histogram("serve.queue_depth", QUEUE_BOUNDS))
-        .unwrap_or_else(|| Registry::new().histogram("serve.queue_depth", QUEUE_BOUNDS));
+    let qdepth = tracer.registry().map(|r| r.histogram("serve.queue_depth")).unwrap_or_default();
     let tick_step = (workload.horizon_us / 8).max(1);
     let mut engine = Engine {
         wl: workload,

@@ -170,10 +170,6 @@ pub struct QueryStats {
     est_actual_pct: Histogram,
 }
 
-/// Bucket bounds for the estimated-vs-actual ratio histogram (percent).
-/// 100 is exact; the 80–125 band is "good enough to pick the same plan".
-const EST_ACTUAL_BOUNDS: &[u64] = &[25, 50, 80, 95, 105, 125, 200, 400, 1600];
-
 impl QueryStats {
     fn bound_to(registry: Registry) -> Self {
         QueryStats {
@@ -187,7 +183,7 @@ impl QueryStats {
             plans_costed: registry.counter("sql.opt.plans_costed"),
             stats_builds: registry.counter("sql.opt.stats_builds"),
             join_reorders: registry.counter("sql.opt.join_reorders"),
-            est_actual_pct: registry.histogram("sql.opt.est_actual_pct", EST_ACTUAL_BOUNDS),
+            est_actual_pct: registry.histogram("sql.opt.est_actual_pct"),
             registry,
         }
     }
@@ -336,7 +332,7 @@ impl Database {
     /// repeated queries (the per-node lookups of a mass reinstall) skip
     /// straight to execution against hash indexes. The cache is flushed
     /// whenever the schema generation changes and is capped at
-    /// [`PLAN_CACHE_CAP`] entries.
+    /// `PLAN_CACHE_CAP` entries.
     pub fn query(&self, sql: &str) -> Result<QueryResult> {
         let prepared = self.prepare(sql)?;
         exec::read_only(self, &prepared.stmt, exec::PlanChoice::Prepared(prepared.plan.as_ref()))

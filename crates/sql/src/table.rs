@@ -3,7 +3,7 @@
 //! Indexes are built lazily the first time a column is probed for
 //! equality (see [`Table::eq_index`]), kept current incrementally as rows
 //! are appended, and dropped wholesale whenever rows are mutated in place
-//! (UPDATE/DELETE go through [`Table::rows_mut`]) — the next probe
+//! (UPDATE/DELETE go through `Table::rows_mut`) — the next probe
 //! rebuilds. They are pure acceleration state: `Clone` shares them
 //! copy-on-write via `Arc`, and `PartialEq`/`Debug` ignore them.
 

@@ -11,7 +11,9 @@
 //!   auto-incrementing tick — never wall clock, so a trace is a pure
 //!   function of the seed.
 //! - **Metrics** ([`metrics::Registry`]): counters, gauges, and
-//!   fixed-bucket histograms shared by handle. Subsystem `Stats`
+//!   histograms shared by handle. Every histogram has the same fixed
+//!   log-linear layout, so quantiles are within 1/64 of the exact
+//!   sample and merges are exact. Subsystem `Stats`
 //!   structs are thin views over registry handles, so every number has
 //!   exactly one source of truth.
 //! - **Sinks**: a bounded ring buffer ([`Tracer::ring`] /

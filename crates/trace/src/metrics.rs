@@ -1,4 +1,4 @@
-//! Typed metrics: counters, gauges, fixed-bucket histograms, and the
+//! Typed metrics: counters, gauges, log-linear histograms, and the
 //! registry that names them.
 //!
 //! Every handle is a cheap `Arc` clone around atomics, so subsystems
@@ -104,116 +104,111 @@ impl Gauge {
     }
 }
 
+/// Sub-bucket bits of the histogram layout: each power of two is split
+/// into `2^SUB_BITS` = 64 linear sub-buckets, so a bucket is never wider
+/// than 1/64 of the values it holds.
+const SUB_BITS: u32 = 6;
+
+/// Buckets in the layout: values 0–63 get one each, then 64 sub-buckets
+/// for each of the 58 powers of two from 2^6 up to 2^63.
+const BUCKETS: usize = (1 << SUB_BITS) + (64 - SUB_BITS as usize) * (1 << SUB_BITS);
+
+/// The bucket holding `v`. Values below 128 map to themselves; above
+/// that, the bucket is the value's top seven bits offset by its
+/// power-of-two group.
+#[inline]
+fn bucket_of(v: u64) -> usize {
+    let shift = (u64::BITS - v.leading_zeros()).saturating_sub(SUB_BITS + 1);
+    ((shift << SUB_BITS) as u64 + (v >> shift)) as usize
+}
+
+/// The highest value that lands in bucket `i` (inverse of [`bucket_of`]).
+fn bucket_high(i: usize) -> u64 {
+    let shift = (i >> SUB_BITS).saturating_sub(1);
+    let top = (i - (shift << SUB_BITS)) as u64;
+    (top << shift) | ((1u64 << shift) - 1)
+}
+
 #[derive(Debug)]
 struct HistState {
-    /// One slot per upper bound, plus a final overflow slot for samples
-    /// above every bound (the "clamp bucket").
-    buckets: Vec<AtomicU64>,
-    count: AtomicU64,
-    sum: AtomicU64,
+    buckets: Box<[AtomicU64]>,
+    count: Counter,
+    sum: Counter,
     min: AtomicU64,
     max: AtomicU64,
 }
 
-/// A fixed-bucket histogram: samples land in the first bucket whose
-/// upper bound is `>=` the value, or in the overflow bucket past the
-/// last bound. Quantiles are answered from bucket upper bounds, so they
-/// are conservative (never under-report) and fully deterministic.
+/// A histogram over all of `u64` with one fixed HDR-style log-linear
+/// layout: values 0–63 get a bucket each, and every power of two above
+/// that is split into 64 linear sub-buckets (3776 buckets in all, the
+/// index computed from `leading_zeros`).
+///
+/// A quantile answers the highest value of the bucket holding its rank,
+/// clamped to `[min, max]`: it never under-reports the exact sample and
+/// exceeds it by at most 1/64. Because every histogram shares the
+/// layout, merging is plain bucket-wise addition and loses nothing.
 #[derive(Clone, Debug)]
-pub struct Histogram {
-    bounds: Arc<Vec<u64>>,
-    state: Arc<HistState>,
+pub struct Histogram(Arc<HistState>);
+
+impl Default for Histogram {
+    fn default() -> Self {
+        Histogram(Arc::new(HistState {
+            buckets: (0..BUCKETS).map(|_| AtomicU64::new(0)).collect(),
+            count: Counter::default(),
+            sum: Counter::default(),
+            min: AtomicU64::new(u64::MAX),
+            max: AtomicU64::new(0),
+        }))
+    }
 }
 
 impl Histogram {
-    fn new(bounds: &[u64]) -> Self {
-        let mut sorted: Vec<u64> = bounds.to_vec();
-        sorted.sort_unstable();
-        sorted.dedup();
-        let state = HistState {
-            buckets: (0..=sorted.len()).map(|_| AtomicU64::new(0)).collect(),
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-            min: AtomicU64::new(u64::MAX),
-            max: AtomicU64::new(0),
-        };
-        Histogram { bounds: Arc::new(sorted), state: Arc::new(state) }
-    }
-
     /// Record one sample.
     pub fn record(&self, v: u64) {
-        let idx = self.bounds.partition_point(|b| *b < v);
-        self.state.buckets[idx].fetch_add(1, Ordering::Relaxed);
-        self.state.count.fetch_add(1, Ordering::Relaxed);
-        // Saturating sum: same wrap guard as Counter.
-        let mut cur = self.state.sum.load(Ordering::Relaxed);
-        loop {
-            let next = cur.saturating_add(v);
-            match self.state.sum.compare_exchange_weak(
-                cur,
-                next,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break,
-                Err(seen) => cur = seen,
-            }
-        }
-        self.state.min.fetch_min(v, Ordering::Relaxed);
-        self.state.max.fetch_max(v, Ordering::Relaxed);
+        self.0.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
+        self.0.count.incr();
+        self.0.sum.add(v);
+        self.0.min.fetch_min(v, Ordering::Relaxed);
+        self.0.max.fetch_max(v, Ordering::Relaxed);
     }
 
     /// Number of recorded samples.
     pub fn count(&self) -> u64 {
-        self.state.count.load(Ordering::Relaxed)
+        self.0.count.get()
     }
 
     /// Sum of recorded samples (saturating).
     pub fn sum(&self) -> u64 {
-        self.state.sum.load(Ordering::Relaxed)
+        self.0.sum.get()
     }
 
     /// Smallest recorded sample, or `None` when empty.
     pub fn min(&self) -> Option<u64> {
-        if self.count() == 0 {
-            None
-        } else {
-            Some(self.state.min.load(Ordering::Relaxed))
-        }
+        (self.count() > 0).then(|| self.0.min.load(Ordering::Relaxed))
     }
 
     /// Largest recorded sample, or `None` when empty.
     pub fn max(&self) -> Option<u64> {
-        if self.count() == 0 {
-            None
-        } else {
-            Some(self.state.max.load(Ordering::Relaxed))
-        }
+        (self.count() > 0).then(|| self.0.max.load(Ordering::Relaxed))
     }
 
-    /// The `q`-quantile (`0.0 ..= 1.0`) as a bucket upper bound, or the
-    /// exact max for samples in the overflow bucket. `None` when empty.
+    /// The `q`-quantile (`0.0 ..= 1.0`), or `None` when empty. The rank
+    /// is `ceil(q·count)` (at least 1); the answer is the highest value
+    /// of the bucket holding that rank, clamped to `[min, max]`, so it
+    /// lies in `[exact, exact·(1 + 1/64)]` of the exact sample.
     pub fn quantile(&self, q: f64) -> Option<u64> {
-        let total = self.count();
-        if total == 0 {
-            return None;
-        }
-        let q = q.clamp(0.0, 1.0);
-        let target = ((q * total as f64).ceil() as u64).max(1);
+        let (min, max) = (self.min()?, self.max()?);
+        let target = ((q.clamp(0.0, 1.0) * self.count() as f64).ceil() as u64).max(1);
         let mut seen = 0u64;
-        for (i, slot) in self.state.buckets.iter().enumerate() {
-            seen += slot.load(Ordering::Relaxed);
+        for i in bucket_of(min)..=bucket_of(max) {
+            seen += self.0.buckets[i].load(Ordering::Relaxed);
             if seen >= target {
-                return Some(if i < self.bounds.len() {
-                    self.bounds[i]
-                } else {
-                    // Overflow bucket: report the true max rather than a
-                    // fictitious "infinity" bound.
-                    self.state.max.load(Ordering::Relaxed)
-                });
+                // Not `clamp`: it panics if a concurrent `reset` leaves
+                // `min > max` for a moment.
+                return Some(bucket_high(i).min(max).max(min));
             }
         }
-        Some(self.state.max.load(Ordering::Relaxed))
+        Some(max)
     }
 
     /// Median.
@@ -231,69 +226,32 @@ impl Histogram {
         self.quantile(0.99)
     }
 
-    /// Samples recorded above the last bound (the clamp bucket).
-    pub fn overflow(&self) -> u64 {
-        self.state.buckets[self.bounds.len()].load(Ordering::Relaxed)
+    /// Forget every sample: zero the buckets, count and sum, and empty
+    /// `min`/`max`.
+    pub fn reset(&self) {
+        for b in self.0.buckets.iter() {
+            b.store(0, Ordering::Relaxed);
+        }
+        self.0.count.reset();
+        self.0.sum.reset();
+        self.0.min.store(u64::MAX, Ordering::Relaxed);
+        self.0.max.store(0, Ordering::Relaxed);
     }
 
-    /// The configured (sorted, deduplicated) upper bounds.
-    pub fn bounds(&self) -> &[u64] {
-        &self.bounds
-    }
-
-    fn bucket_counts(&self) -> Vec<u64> {
-        self.state.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect()
-    }
-
+    /// Add `other`'s samples bucket by bucket; count, sum, min and max
+    /// carry over exactly.
     fn absorb(&self, other: &Histogram) {
-        // Bucket placement: identical bounds add bucket-wise; mismatched
-        // bounds remap each of the other's buckets to the bucket its
-        // upper bound falls into here (overflow samples remap at the
-        // other's true max). Either way quantiles stay conservative.
-        //
-        // The scalar aggregates (count, sum, min, max) are carried over
-        // *exactly* in both cases: re-recording samples at their bucket
-        // bounds would inflate `sum` to a sum of bounds and raise `min`
-        // to a bound, silently corrupting merged per-shard latency
-        // views. Only bucket *placement* may lose precision, never the
-        // scalars.
-        if self.bounds == other.bounds {
-            for (dst, n) in self.state.buckets.iter().zip(other.bucket_counts()) {
+        for (dst, src) in self.0.buckets.iter().zip(other.0.buckets.iter()) {
+            let n = src.load(Ordering::Relaxed);
+            if n > 0 {
                 dst.fetch_add(n, Ordering::Relaxed);
             }
-        } else {
-            for (i, n) in other.bucket_counts().iter().enumerate() {
-                if *n == 0 {
-                    continue;
-                }
-                let value = if i < other.bounds.len() {
-                    other.bounds[i]
-                } else {
-                    other.max().unwrap_or(u64::MAX)
-                };
-                let idx = self.bounds.partition_point(|b| *b < value);
-                self.state.buckets[idx].fetch_add(*n, Ordering::Relaxed);
-            }
         }
-        self.state.count.fetch_add(other.count(), Ordering::Relaxed);
-        let mut cur = self.state.sum.load(Ordering::Relaxed);
-        loop {
-            let next = cur.saturating_add(other.sum());
-            match self.state.sum.compare_exchange_weak(
-                cur,
-                next,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break,
-                Err(seen) => cur = seen,
-            }
-        }
-        if let Some(m) = other.min() {
-            self.state.min.fetch_min(m, Ordering::Relaxed);
-        }
-        if let Some(m) = other.max() {
-            self.state.max.fetch_max(m, Ordering::Relaxed);
+        self.0.count.add(other.count());
+        self.0.sum.add(other.sum());
+        if let (Some(lo), Some(hi)) = (other.min(), other.max()) {
+            self.0.min.fetch_min(lo, Ordering::Relaxed);
+            self.0.max.fetch_max(hi, Ordering::Relaxed);
         }
     }
 }
@@ -330,12 +288,10 @@ impl Registry {
         inner.gauges.entry(name.to_string()).or_default().clone()
     }
 
-    /// Get or create the histogram named `name` with the given upper
-    /// bounds. If it already exists the existing histogram is returned
-    /// (its original bounds win).
-    pub fn histogram(&self, name: &str, bounds: &[u64]) -> Histogram {
+    /// Get or create the histogram named `name`.
+    pub fn histogram(&self, name: &str) -> Histogram {
         let mut inner = self.inner.lock().expect("registry lock poisoned");
-        inner.histograms.entry(name.to_string()).or_insert_with(|| Histogram::new(bounds)).clone()
+        inner.histograms.entry(name.to_string()).or_default().clone()
     }
 
     /// Fold `other`'s metrics into `self`: counters and histograms add,
@@ -353,7 +309,7 @@ impl Registry {
             self.gauge(&name).add(g.get());
         }
         for (name, h) in snapshot.2 {
-            self.histogram(&name, h.bounds()).absorb(&h);
+            self.histogram(&name).absorb(&h);
         }
     }
 
@@ -386,7 +342,6 @@ impl Registry {
                             p50: v.p50(),
                             p95: v.p95(),
                             p99: v.p99(),
-                            overflow: v.overflow(),
                         },
                     )
                 })
@@ -406,14 +361,12 @@ pub struct HistogramSnapshot {
     pub min: Option<u64>,
     /// Largest sample, if any.
     pub max: Option<u64>,
-    /// Median (bucket upper bound).
+    /// Median (within 1/64 above the exact sample).
     pub p50: Option<u64>,
-    /// 95th percentile (bucket upper bound).
+    /// 95th percentile (within 1/64 above the exact sample).
     pub p95: Option<u64>,
-    /// 99th percentile (bucket upper bound).
+    /// 99th percentile (within 1/64 above the exact sample).
     pub p99: Option<u64>,
-    /// Samples past the last bound.
-    pub overflow: u64,
 }
 
 /// A point-in-time copy of a [`Registry`], sorted by metric name.
@@ -437,58 +390,32 @@ impl Snapshot {
     pub fn gauge(&self, name: &str) -> f64 {
         self.gauges.get(name).copied().unwrap_or(0.0)
     }
-
-    /// Render as a stable, human-greppable JSON object.
-    pub fn to_json(&self) -> String {
-        fn opt(v: Option<u64>) -> String {
-            v.map_or_else(|| "null".to_string(), |x| x.to_string())
-        }
-        let mut out = String::from("{\n  \"counters\": {");
-        let mut first = true;
-        for (k, v) in &self.counters {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(&format!("\n    \"{k}\": {v}"));
-        }
-        out.push_str("\n  },\n  \"gauges\": {");
-        first = true;
-        for (k, v) in &self.gauges {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(&format!("\n    \"{k}\": {v:.3}"));
-        }
-        out.push_str("\n  },\n  \"histograms\": {");
-        first = true;
-        for (k, h) in &self.histograms {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(&format!(
-                "\n    \"{k}\": {{\"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}, \
-                 \"p50\": {}, \"p95\": {}, \"p99\": {}, \"overflow\": {}}}",
-                h.count,
-                h.sum,
-                opt(h.min),
-                opt(h.max),
-                opt(h.p50),
-                opt(h.p95),
-                opt(h.p99),
-                h.overflow
-            ));
-        }
-        out.push_str("\n  }\n}\n");
-        out
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    fn bucket_counts(h: &Histogram) -> Vec<u64> {
+        h.0.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect()
+    }
+
+    /// The `ceil(q·n)`-th smallest sample: the rank rule `quantile` uses.
+    fn exact_quantile(sorted: &[u64], q: f64) -> u64 {
+        let rank = ((q * sorted.len() as f64).ceil() as usize).max(1);
+        sorted[rank - 1]
+    }
+
+    /// `reported` lies in `[exact, exact·(1 + 1/64)]`.
+    fn within_error_bound(reported: u64, exact: u64) -> bool {
+        reported >= exact && u128::from(reported) * 64 <= u128::from(exact) * 65
+    }
+
+    /// Samples spread over every magnitude of `u64`.
+    fn sample() -> impl Strategy<Value = u64> {
+        (0..u64::MAX, 0u32..64).prop_map(|(v, shift)| v >> shift)
+    }
 
     #[test]
     fn counter_basics() {
@@ -522,8 +449,22 @@ mod tests {
     }
 
     #[test]
+    fn layout_covers_u64_in_order() {
+        assert_eq!(BUCKETS, 3776);
+        assert_eq!(bucket_of(0), 0);
+        assert_eq!(bucket_of(u64::MAX), BUCKETS - 1);
+        assert_eq!(bucket_high(BUCKETS - 1), u64::MAX);
+        // Every bucket starts one past the previous bucket's high value.
+        for i in 1..BUCKETS {
+            let low = bucket_high(i - 1) + 1;
+            assert_eq!(bucket_of(low), i, "bucket {i} must start at {low}");
+            assert_eq!(bucket_of(bucket_high(i)), i);
+        }
+    }
+
+    #[test]
     fn empty_histogram_quantiles_are_none() {
-        let h = Histogram::new(&[10, 100, 1000]);
+        let h = Histogram::default();
         assert_eq!(h.count(), 0);
         assert_eq!(h.p50(), None);
         assert_eq!(h.p95(), None);
@@ -536,41 +477,55 @@ mod tests {
 
     #[test]
     fn single_sample_histogram() {
-        let h = Histogram::new(&[10, 100, 1000]);
-        h.record(42);
+        let h = Histogram::default();
+        h.record(4_242);
         assert_eq!(h.count(), 1);
-        assert_eq!(h.sum(), 42);
-        assert_eq!(h.min(), Some(42));
-        assert_eq!(h.max(), Some(42));
-        // 42 lands in the (10, 100] bucket; quantiles answer its bound.
-        assert_eq!(h.p50(), Some(100));
-        assert_eq!(h.p99(), Some(100));
+        assert_eq!(h.sum(), 4_242);
+        assert_eq!(h.min(), Some(4_242));
+        assert_eq!(h.max(), Some(4_242));
+        // The bucket runs to 4_287; the clamp to [min, max] makes a lone
+        // sample exact.
+        assert_eq!(h.p50(), Some(4_242));
+        assert_eq!(h.p99(), Some(4_242));
     }
 
     #[test]
-    fn histogram_overflow_clamps_and_reports_true_max() {
-        let h = Histogram::new(&[10, 100]);
-        h.record(5_000_000);
-        h.record(7_000_000);
-        assert_eq!(h.overflow(), 2);
-        // Overflow-bucket quantiles report the true max, not a bound.
-        assert_eq!(h.p50(), Some(7_000_000));
-        assert_eq!(h.max(), Some(7_000_000));
+    fn samples_near_u64_max_keep_error_bound() {
+        let h = Histogram::default();
+        let top = u64::MAX - (1 << 57) + 1; // low edge of the last bucket
+        h.record(top);
+        h.record(u64::MAX - 7);
+        h.record(u64::MAX);
+        assert_eq!(h.sum(), u64::MAX, "the sum saturates instead of wrapping");
+        assert_eq!(h.max(), Some(u64::MAX));
+        // All three share the last bucket; its high value is u64::MAX.
+        assert_eq!(h.quantile(0.01), Some(u64::MAX));
+        assert!(within_error_bound(u64::MAX, top));
+        let h = Histogram::default();
+        h.record(u64::MAX / 3);
+        h.record(u64::MAX / 2);
+        let p50 = h.p50().unwrap();
+        assert!(within_error_bound(p50, u64::MAX / 3), "p50 {p50}");
+        assert_eq!(h.quantile(1.0), Some(u64::MAX / 2));
     }
 
     #[test]
     fn histogram_bucket_boundaries_are_inclusive() {
-        let h = Histogram::new(&[10, 100]);
-        h.record(10); // lands in bucket 0 (bound 10)
-        h.record(11); // lands in bucket 1 (bound 100)
-        assert_eq!(h.overflow(), 0);
-        assert_eq!(h.quantile(0.5), Some(10));
-        assert_eq!(h.quantile(1.0), Some(100));
+        // 0–127 are exact; 128 and 129 share a two-wide bucket.
+        let h = Histogram::default();
+        h.record(127);
+        h.record(128);
+        h.record(129);
+        h.record(130);
+        assert_eq!(h.quantile(0.25), Some(127));
+        assert_eq!(h.quantile(0.5), Some(129), "128 answers its bucket's high value");
+        assert_eq!(h.quantile(0.75), Some(129));
+        assert_eq!(h.quantile(1.0), Some(130));
     }
 
     #[test]
     fn histogram_quantiles_walk_buckets() {
-        let h = Histogram::new(&[1, 2, 4, 8, 16]);
+        let h = Histogram::default();
         for v in 1..=16u64 {
             h.record(v);
         }
@@ -579,6 +534,18 @@ mod tests {
         assert_eq!(h.p95(), Some(16));
         assert_eq!(h.min(), Some(1));
         assert_eq!(h.max(), Some(16));
+    }
+
+    #[test]
+    fn histogram_reset_forgets_every_sample() {
+        let h = Histogram::default();
+        h.record(5);
+        h.record(9_000);
+        h.reset();
+        assert_eq!((h.count(), h.sum(), h.min(), h.max(), h.p50()), (0, 0, None, None, None));
+        assert!(bucket_counts(&h).iter().all(|n| *n == 0));
+        h.record(7);
+        assert_eq!((h.min(), h.max(), h.p99()), (Some(7), Some(7), Some(7)));
     }
 
     #[test]
@@ -603,11 +570,9 @@ mod tests {
         w2.counter("jobs").add(4);
         w1.gauge("bytes").set(1.5);
         w2.gauge("bytes").set(2.5);
-        let h1 = w1.histogram("lat", &[10, 100]);
-        let h2 = w2.histogram("lat", &[10, 100]);
-        h1.record(5);
-        h2.record(50);
-        h2.record(500);
+        w1.histogram("lat").record(5);
+        w2.histogram("lat").record(50);
+        w2.histogram("lat").record(500);
 
         let total = Registry::new();
         total.merge(&w1);
@@ -620,87 +585,20 @@ mod tests {
         assert_eq!(h.sum, 555);
         assert_eq!(h.min, Some(5));
         assert_eq!(h.max, Some(500));
-        assert_eq!(h.overflow, 1);
+        assert_eq!(h.p50, Some(50));
     }
 
     #[test]
-    fn registry_merge_mismatched_bounds_rerecords() {
-        let a = Registry::new();
-        let b = Registry::new();
-        let ha = a.histogram("lat", &[10, 100]);
-        let hb = b.histogram("lat", &[7]);
-        ha.record(3);
-        hb.record(6); // bucket bound 7 in b
-        a.merge(&b);
-        let merged = a.histogram("lat", &[10, 100]);
-        assert_eq!(merged.count(), 2);
-        // b's sample re-recorded at its bound (7) into a's 10-bucket.
-        assert_eq!(merged.quantile(1.0), Some(10));
-    }
-
-    #[test]
-    fn mismatched_merge_keeps_exact_scalar_aggregates() {
-        // Bucket placement may coarsen across a bounds mismatch, but
-        // count/sum/min/max must survive exactly.
-        let a = Registry::new();
-        let b = Registry::new();
-        let ha = a.histogram("lat", &[10, 100]);
-        let hb = b.histogram("lat", &[7]);
-        ha.record(3);
-        hb.record(6);
-        hb.record(2);
-        a.merge(&b);
-        let merged = a.histogram("lat", &[10, 100]);
-        assert_eq!(merged.count(), 3);
-        assert_eq!(merged.sum(), 11, "true sample sum, not a sum of bucket bounds");
-        assert_eq!(merged.min(), Some(2), "true min, not a bucket bound");
-        assert_eq!(merged.max(), Some(6));
-    }
-
-    #[test]
-    fn mismatched_merge_boundary_value_lands_in_shared_bucket() {
-        // The other histogram's bound coincides with one of ours: its
-        // samples must land in that bucket, not spill past it.
-        let a = Registry::new();
-        let b = Registry::new();
-        let ha = a.histogram("lat", &[10, 100]);
-        let hb = b.histogram("lat", &[100]);
-        hb.record(50);
-        a.merge(&b);
-        assert_eq!(ha.count(), 1);
-        assert_eq!(ha.overflow(), 0, "bound-100 bucket maps to bound-100 bucket");
-        assert_eq!(ha.quantile(1.0), Some(100));
-    }
-
-    #[test]
-    fn mismatched_merge_overflow_maps_to_overflow() {
-        let a = Registry::new();
-        let b = Registry::new();
-        let ha = a.histogram("lat", &[10, 100]);
-        let hb = b.histogram("lat", &[10]);
-        hb.record(5_000);
-        hb.record(7_000);
-        a.merge(&b);
-        assert_eq!(ha.overflow(), 2, "samples past every bound stay in overflow");
-        assert_eq!(ha.max(), Some(7_000));
-        // Overflow quantiles still answer the true max, exactly as if
-        // the samples had been recorded here directly.
-        assert_eq!(ha.p50(), Some(7_000));
-        assert_eq!(ha.sum(), 12_000);
-    }
-
-    #[test]
-    fn same_bounds_merge_equals_direct_recording() {
-        // Per-shard aggregation must be lossless when shards share
-        // bounds: merging N shard histograms gives the same snapshot as
-        // recording every sample into one histogram.
+    fn shard_merge_equals_direct_recording() {
+        // Per-shard aggregation is lossless: merging N shard histograms
+        // gives the same snapshot as recording every sample into one.
         let samples: [&[u64]; 3] = [&[5, 40, 900], &[12, 12, 3_000], &[75]];
         let direct = Registry::new();
-        let dh = direct.histogram("lat", &[10, 100, 1_000]);
+        let dh = direct.histogram("lat");
         let total = Registry::new();
         for shard_samples in samples {
             let shard = Registry::new();
-            let h = shard.histogram("lat", &[10, 100, 1_000]);
+            let h = shard.histogram("lat");
             for s in shard_samples {
                 h.record(*s);
                 dh.record(*s);
@@ -718,19 +616,53 @@ mod tests {
         assert_eq!(r.counter("x").get(), 5);
     }
 
-    #[test]
-    fn snapshot_json_is_stable_and_greppable() {
-        let r = Registry::new();
-        r.counter("b.second").add(2);
-        r.counter("a.first").add(1);
-        r.gauge("g").set(3.5);
-        r.histogram("h", &[10]).record(4);
-        let json = r.snapshot().to_json();
-        let a = json.find("a.first").unwrap();
-        let b = json.find("b.second").unwrap();
-        assert!(a < b, "keys must render sorted");
-        assert!(json.contains("\"g\": 3.500"));
-        assert!(json.contains("\"count\": 1"));
-        assert_eq!(json, r.snapshot().to_json());
+    proptest! {
+        /// Every quantile lies in `[exact, exact·(1 + 1/64)]` of the
+        /// `ceil(q·n)`-th sorted sample, and inside `[min, max]`.
+        #[test]
+        fn quantiles_stay_within_error_bound(
+            mut samples in proptest::collection::vec(sample(), 1..200),
+            qs in proptest::collection::vec(0.0f64..1.0, 1..8),
+        ) {
+            let h = Histogram::default();
+            for s in &samples {
+                h.record(*s);
+            }
+            samples.sort_unstable();
+            let (min, max) = (samples[0], samples[samples.len() - 1]);
+            for q in qs.into_iter().chain([0.0, 0.5, 0.95, 0.99, 1.0]) {
+                let got = h.quantile(q).unwrap();
+                let exact = exact_quantile(&samples, q);
+                prop_assert!(within_error_bound(got, exact), "q={} got {} exact {}", q, got, exact);
+                prop_assert!((min..=max).contains(&got), "q={} got {} outside [{}, {}]", q, got, min, max);
+            }
+        }
+
+        /// Merging any partition of the samples across registries equals
+        /// recording them all into one histogram, bucket for bucket.
+        #[test]
+        fn merge_of_any_partition_equals_direct_recording(
+            tagged in proptest::collection::vec((sample(), 0usize..4), 0..200),
+        ) {
+            let direct = Histogram::default();
+            let shards: Vec<Registry> = (0..4).map(|_| Registry::new()).collect();
+            for (v, shard) in &tagged {
+                direct.record(*v);
+                shards[*shard].histogram("lat").record(*v);
+            }
+            let total = Registry::new();
+            for shard in &shards {
+                total.merge(shard);
+            }
+            let merged = total.histogram("lat");
+            prop_assert_eq!(bucket_counts(&merged), bucket_counts(&direct));
+            prop_assert_eq!(
+                (merged.count(), merged.sum(), merged.min(), merged.max()),
+                (direct.count(), direct.sum(), direct.min(), direct.max())
+            );
+            for q in [0.0, 0.5, 0.95, 0.99, 1.0] {
+                prop_assert_eq!(merged.quantile(q), direct.quantile(q));
+            }
+        }
     }
 }

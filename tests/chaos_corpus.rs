@@ -469,14 +469,38 @@ const ROLLOUT_CORPUS: &[(u64, usize, usize, u64, usize, u64, u64)] = &[
 // ---------------------------------------------------------------------------
 
 use rocks::serve::{
-    run_serve, Arrivals, ModelBackend, ServeConfig, ServeFault, ServeReport, Workload,
+    run_serve, Arrivals, ModelBackend, Outcome, ReqLog, ServeConfig, ServeFault, ServeReport,
+    Workload,
 };
 use rocks::trace::Tracer;
 
-fn run_serve_scenario(cfg: &ServeConfig, wl: &Workload, mut backend: ModelBackend) -> ServeReport {
-    let (report, _) = run_serve(cfg, wl, &mut backend, &Tracer::disabled());
+fn run_serve_scenario(
+    cfg: &ServeConfig,
+    wl: &Workload,
+    mut backend: ModelBackend,
+) -> (ServeReport, Vec<ReqLog>) {
+    let (report, log) = run_serve(cfg, wl, &mut backend, &Tracer::disabled());
     assert!(report.violations.is_empty(), "serve invariants violated: {:#?}", report.violations);
-    report
+    (report, log)
+}
+
+/// Assert the reported p99 lies in `[exact, exact·(1 + 1/64)]` of the
+/// exact p99 (the `ceil(0.99·n)`-th smallest completed-request latency)
+/// recomputed from the request log.
+fn assert_p99_within_bound(report: &ServeReport, log: &[ReqLog]) {
+    let mut lat: Vec<u64> = log
+        .iter()
+        .filter(|r| r.outcome == Outcome::Completed)
+        .map(|r| r.complete_us.unwrap() - r.arrival_us)
+        .collect();
+    lat.sort_unstable();
+    let rank = ((0.99 * lat.len() as f64).ceil() as usize).max(1);
+    let exact = lat[rank - 1];
+    let got = report.latency.p99_us;
+    assert!(
+        got >= exact && got * 64 <= exact * 65,
+        "p99 {got} µs outside [{exact}, {exact}·(1 + 1/64)]"
+    );
 }
 
 #[test]
@@ -502,8 +526,8 @@ fn serve_burst_at_ten_x_sheds_and_recovers_exactly() {
         report_permille: 200,
         faults: vec![ServeFault::Burst { at_us: 10_000, dur_us: 10_000, factor: 10.0 }],
     };
-    let burst = run_serve_scenario(&cfg, &wl, ModelBackend::new(64, 2, 6));
-    let calm = run_serve_scenario(
+    let (burst, burst_log) = run_serve_scenario(&cfg, &wl, ModelBackend::new(64, 2, 6));
+    let (calm, calm_log) = run_serve_scenario(
         &cfg,
         &Workload { faults: Vec::new(), ..wl },
         ModelBackend::new(64, 2, 6),
@@ -521,8 +545,10 @@ fn serve_burst_at_ten_x_sheds_and_recovers_exactly() {
     );
     assert_eq!(burst.queue_peak, 48, "queue must saturate exactly at high water");
     assert_eq!(calm.queue_peak, 48);
-    assert_eq!(burst.latency.p99_us, 6_000, "burst-window queueing p99 drifted");
-    assert_eq!(calm.latency.p99_us, 3_000);
+    assert_eq!(burst.latency.p99_us, 4_415, "burst-window queueing p99 drifted");
+    assert_eq!(calm.latency.p99_us, 2_815);
+    assert_p99_within_bound(&burst, &burst_log);
+    assert_p99_within_bound(&calm, &calm_log);
     assert_eq!(burst.fingerprint, 0x89189e60f3496c93, "burst response set drifted");
     assert_eq!(calm.fingerprint, 0x742729e41d3d65e3);
 }
@@ -550,8 +576,8 @@ fn serve_shard_stall_mid_overload_replays_exactly() {
         report_permille: 250,
         faults: vec![ServeFault::ShardStall { shard: 1, at_us: 15_000, dur_us: 12_000 }],
     };
-    let stalled = run_serve_scenario(&cfg, &wl, ModelBackend::new(96, 3, 6));
-    let calm = run_serve_scenario(&cfg, &wl.stall_free(), ModelBackend::new(96, 3, 6));
+    let (stalled, _) = run_serve_scenario(&cfg, &wl, ModelBackend::new(96, 3, 6));
+    let (calm, _) = run_serve_scenario(&cfg, &wl.stall_free(), ModelBackend::new(96, 3, 6));
 
     assert_eq!(
         (stalled.arrivals, stalled.completed, stalled.shed),
@@ -575,7 +601,7 @@ fn serve_cache_storm_mid_load_rewarm_cost_replays_exactly() {
     // 32 closed-loop clients against a warm cache; at t=30 ms a
     // dist-rebuild invalidates every kickstart skeleton. The four
     // appliance roots re-warm at miss cost (16 misses vs 12 — the
-    // initial warmup plus one per root), p99 rises 400→1000 µs from the
+    // initial warmup plus one per root), p99 rises 403→903 µs from the
     // re-warm stalls, and the closed loop issues fewer requests because
     // its clients wait on the slower responses.
     let cfg = ServeConfig { shards: 2, workers_per_shard: 4, ..ServeConfig::default() };
@@ -586,8 +612,8 @@ fn serve_cache_storm_mid_load_rewarm_cost_replays_exactly() {
         report_permille: 300,
         faults: vec![ServeFault::CacheStorm { at_us: 30_000 }],
     };
-    let storm = run_serve_scenario(&cfg, &wl, ModelBackend::new(48, 4, 8));
-    let calm = run_serve_scenario(
+    let (storm, storm_log) = run_serve_scenario(&cfg, &wl, ModelBackend::new(48, 4, 8));
+    let (calm, calm_log) = run_serve_scenario(
         &cfg,
         &Workload { faults: Vec::new(), ..wl },
         ModelBackend::new(48, 4, 8),
@@ -604,8 +630,10 @@ fn serve_cache_storm_mid_load_rewarm_cost_replays_exactly() {
         "calm twin drifted"
     );
     assert_eq!(storm.shed, 0, "a warm-cache closed loop never sheds");
-    assert_eq!(storm.latency.p99_us, 1_000, "re-warm stall p99 drifted");
-    assert_eq!(calm.latency.p99_us, 400);
+    assert_eq!(storm.latency.p99_us, 903, "re-warm stall p99 drifted");
+    assert_eq!(calm.latency.p99_us, 403);
+    assert_p99_within_bound(&storm, &storm_log);
+    assert_p99_within_bound(&calm, &calm_log);
     assert_eq!(storm.fingerprint, 0xbb4a3246f43ade16, "storm response set drifted");
     assert_eq!(calm.fingerprint, 0xe6f3a58cbe13449c);
 }
